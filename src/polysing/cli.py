@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import divclass, pdiv, polyhedra, singcheck, ufdgen
-from .errors import PolysingError
+from .errors import InternalCheck, PolysingError
 from .pdiv import A1, P1, Curve, Point, QDivisor
 
 FORMAT_VERSION = 1
@@ -45,6 +45,21 @@ def _rat(text, where) -> Fraction:
         return Fraction(str(text).replace("−", "-"))
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational literal {text!r} ({exc})", where)
+
+
+def _int(value, where) -> int:
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"bad integer {value!r} ({exc})", where)
+
+
+def _list_of(value, kind: type, what: str, where) -> list:
+    """The JSON array `value`, every member of which must be a `kind`."""
+    if not isinstance(value, list) or not all(isinstance(x, kind) for x in value):
+        noun = "object" if kind is dict else "list"
+        raise ParseError(f"{what} must be a list of {noun}s", where)
+    return value
 
 
 def _point(text, base: Curve, where) -> Point:
@@ -95,20 +110,20 @@ def _parse_divisor(doc, where) -> pdiv.PolyhedralDivisor:
     rank = doc.get("lattice_rank")
     if not isinstance(rank, int) or rank < 1:
         raise ParseError("lattice_rank must be a positive integer", where)
-    rays = doc.get("tail_rays", [])
+    rays = _list_of(doc.get("tail_rays", []), list, "tail_rays", where)
     for i, ray in enumerate(rays):
         if len(ray) != rank:
             raise ParseError(f"tail ray #{i + 1} has wrong dimension", where)
-    tail = polyhedra.make_cone([[int(x) for x in ray] for ray in rays], rank)
+    tail = polyhedra.make_cone([[_int(x, f"{where}: tail_rays") for x in ray] for ray in rays], rank)
     coeffs = {}
     seen = set()
-    for i, entry in enumerate(doc.get("coefficients", [])):
+    for i, entry in enumerate(_list_of(doc.get("coefficients", []), dict, "coefficients", where)):
         loc = f"{where}: coefficient #{i + 1}"
         p = _point(entry.get("point"), base, loc)
         if p in seen:
             raise ParseError(f"duplicate point {p}", loc)
         seen.add(p)
-        verts = entry.get("vertices", [])
+        verts = _list_of(entry.get("vertices", []), list, "vertices", loc)
         if not verts:
             raise ParseError("vertex list must be nonempty", loc)
         parsed = []
@@ -120,8 +135,8 @@ def _parse_divisor(doc, where) -> pdiv.PolyhedralDivisor:
     canonical = None
     if "canonical_divisor" in doc:
         terms = []
-        for t in doc["canonical_divisor"]:
-            loc = f"{where}: canonical_divisor"
+        loc = f"{where}: canonical_divisor"
+        for t in _list_of(doc["canonical_divisor"], dict, "canonical_divisor", where):
             terms.append((_point(t.get("point"), base, loc), _rat(t.get("coeff"), loc)))
         canonical = QDivisor.of(terms)
     try:
@@ -225,8 +240,6 @@ def analyze(d: pdiv.PolyhedralDivisor, only=None, budget=singcheck.DEFAULT_BUDGE
             payload = thunk()
         except PolysingError as exc:
             payload = {"status": "error", "error": type(exc).__name__, "detail": str(exc)}
-        except AssertionError as exc:
-            payload = {"status": "error", "error": "InternalCheck", "detail": str(exc)}
         add(criterion, payload, t0)
         return payload
 
@@ -547,7 +560,7 @@ def _dispatch(args) -> int:
         d = _require_kind(doc, "divisor", args.path)
         _emit(args, charts_report(d))
         return EXIT_OK
-    raise AssertionError(f"unhandled command {args.command}")
+    raise InternalCheck(f"unhandled command {args.command}")
 
 
 def _interior_weight(d: pdiv.PolyhedralDivisor):

@@ -8,6 +8,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import (
+    InternalCheck,
     NoGlobalEquation,
     NotQGorensteinError,
     UnsupportedBase,
@@ -24,13 +25,14 @@ from .pdiv import (
     require_proper,
     support,
 )
-from .polyhedra import cone_dim, mu
+from .polyhedra import cone_dim
 from .ratlin import (
     Inconsistent,
     SmithForm,
     Underdetermined,
     Unique,
     determinant,
+    mu,
     smith_normal_form,
     solve_exact,
 )
@@ -70,25 +72,35 @@ def _system_data(d: PolyhedralDivisor, extra_points: tuple[Point, ...] = ()) -> 
     return SystemData(tuple(pts), b, tuple(verts), ext.extremal_rays, n)
 
 
-def _monster_rows(data: SystemData, projective: bool) -> list[list[int]]:
-    """Coefficient matrix with columns (a_1..a_s, u): one numerical-class row
-    (projective base), one row per vertex, one row per extremal ray."""
+def _monster_rows(data: SystemData, class_rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The divisor-class system with columns (a_1..a_s, u).
+
+    Rows are the given numerical-class rows over the points (padded with zeros
+    on u), then (mu_v e_i | mu_v v) per vertex and (0 | rho) per extremal ray.
+    Its transpose, with the point rows negated, is the class-group relation
+    matrix, so class group, factoriality, the canonical class and the
+    generator degrees all read this one matrix.
+    """
     s = len(data.points)
-    rows: list[list[int]] = []
-    if projective:
-        rows.append([1] * s + [0] * data.n)
+    rows = [[int(x) for x in row] + [0] * data.n for row in class_rows]
     for i, v, m in data.vertices:
         row = [0] * s
         row[i] = m
-        mv = [int(m * x) for x in v]
-        rows.append(row + mv)
+        rows.append(row + [int(m * x) for x in v])
     for r in data.extremal_rays:
         rows.append([0] * s + list(r))
     return rows
 
 
+def _class_rows(d: PolyhedralDivisor, data: SystemData) -> list[list[int]]:
+    """Numerical-class rows over the points: the degree on P^1, none on A^1."""
+    return [[1] * len(data.points)] if d.base.projective else []
+
+
 @dataclass(frozen=True)
 class ClassGroup:
+    """Invariant factors of Cl(X); smith decomposes the divisor-class system."""
+
     torsion: tuple[int, ...]
     free_rank: int
     q_factorial: bool
@@ -100,49 +112,28 @@ def class_group(d: PolyhedralDivisor) -> ClassGroup:
     """Invariant factors of the divisor class group.
 
     Generators are the base point class (projective case), one divisor per
-    (point, vertex) pair and one per extremal ray; relations identify each
-    point class with its vertex multiples and kill the principal characters.
-    Points outside the support are pre-eliminated.
+    (point, vertex) pair and one per extremal ray, i.e. the rows of the
+    divisor-class system; relations identify each point class with its vertex
+    multiples and kill the principal characters, i.e. its columns.  A matrix
+    and its transpose share their invariant factors, so the Smith form of the
+    system gives the group, with one generator per row.  Points outside the
+    support are pre-eliminated.
     """
     data = _system_data(d)
-    projective = d.base.projective
-    r_cl = 1 if projective else 0
-    n_gen = r_cl + len(data.vertices) + len(data.extremal_rays)
-    rows: list[list[int]] = []
-    if projective:
-        for i in range(len(data.points)):
-            row = [0] * n_gen
-            row[0] = 1
-            for j, (pi, v, m) in enumerate(data.vertices):
-                if pi == i:
-                    row[r_cl + j] = -m
-            rows.append(row)
-    else:
-        for i in range(len(data.points)):
-            row = [0] * n_gen
-            for j, (pi, v, m) in enumerate(data.vertices):
-                if pi == i:
-                    row[r_cl + j] = -m
-            rows.append(row)
-    nv = len(data.vertices)
-    for k in range(data.n):
-        row = [0] * n_gen
-        for j, (pi, v, m) in enumerate(data.vertices):
-            row[r_cl + j] = int(m * v[k])
-        for j, ray in enumerate(data.extremal_rays):
-            row[r_cl + nv + j] = ray[k]
-        rows.append(row)
-    sf = smith_normal_form(rows) if rows else smith_normal_form([[0] * n_gen])
+    rows = _monster_rows(data, _class_rows(d, data))
+    sf = smith_normal_form(rows)
     diag = [x for x in sf.diagonal if x != 0]
     torsion = tuple(x for x in diag if x > 1)
-    free = n_gen - len(diag)
+    free = len(rows) - len(diag)
     q_fact = free == 0
     if cone_dim(d.tail) == data.n:
         # relation rows are independent for a full-dimensional tail, so the
         # Smith free rank must agree with the ray/vertex dimension count
         per_point = sum(len(poly.vertices) - 1 for _, poly in support(d))
+        r_cl = 1 if d.base.projective else 0
         count_ok = r_cl + per_point + len(data.extremal_rays) == data.n
-        assert q_fact == count_ok, "Smith rank and ray/vertex count disagree"
+        if q_fact != count_ok:
+            raise InternalCheck("Smith rank and ray/vertex count disagree")
     return ClassGroup(torsion, free, q_fact, sf)
 
 
@@ -164,10 +155,25 @@ class NotQGorenstein:
 GorensteinResult = GorensteinSolution | NotQGorenstein
 
 
-def _integrality_index(values: Sequence[Fraction]) -> int:
-    import math
+def _solve_canonical(
+    data: SystemData, class_rows: Sequence[Sequence[int]]
+) -> tuple[tuple[tuple[Point, Fraction], ...], tuple[Fraction, ...], int] | NotQGorenstein:
+    """Solve the divisor-class system for K_X: right-hand side 0 on the class
+    rows, mu_v*b_i + mu_v - 1 per vertex and -1 per extremal ray.
 
-    return math.lcm(*[Fraction(x).denominator for x in values]) if values else 1
+    Returns (a, u, index) with the index the lcm of all denominators.
+    """
+    rows = _monster_rows(data, class_rows)
+    rhs = [Fraction(0)] * len(class_rows)
+    rhs += [m * data.b[i] + m - 1 for i, _, m in data.vertices]
+    rhs += [Fraction(-1)] * len(data.extremal_rays)
+    sol = solve_exact(rows, rhs)
+    if isinstance(sol, Inconsistent):
+        return NotQGorenstein("canonical-class system is inconsistent")
+    if isinstance(sol, Underdetermined):
+        raise UnsupportedShape("canonical-class system is underdetermined")
+    s = len(data.points)
+    return tuple(zip(data.points, sol.x[:s])), sol.x[s:], mu(sol.x)
 
 
 @lru_cache(maxsize=None)
@@ -184,30 +190,16 @@ def gorenstein_solve(d: PolyhedralDivisor) -> GorensteinResult:
     if cone_dim(d.tail) != rank(d):
         raise UnsupportedShape("the canonical-class system needs a full-dimensional tail cone")
     data = _system_data(d)
-    projective = d.base.projective
-    rows = _monster_rows(data, projective)
-    rhs: list[Fraction] = []
-    if projective:
-        rhs.append(Fraction(0))
-    for i, v, m in data.vertices:
-        rhs.append(m * data.b[i] + m - 1)
-    rhs.extend(Fraction(-1) for _ in data.extremal_rays)
-    sol = solve_exact(rows, rhs)
-    if isinstance(sol, Inconsistent):
-        return NotQGorenstein("canonical-class system is inconsistent")
-    if isinstance(sol, Underdetermined):
-        raise UnsupportedShape("canonical-class system is underdetermined")
-    s = len(data.points)
-    a = sol.x[:s]
-    u = sol.x[s:]
-    index = _integrality_index(list(u) + list(a))
-    result = GorensteinSolution(tuple(zip(data.points, a)), tuple(u), index)
-    if rank(d) == 1 and projective:
-        _assert_rank_one_path(d, result)
+    res = _solve_canonical(data, _class_rows(d, data))
+    if isinstance(res, NotQGorenstein):
+        return res
+    result = GorensteinSolution(*res)
+    if rank(d) == 1 and d.base.projective:
+        _check_rank_one_path(d, result)
     return result
 
 
-def _assert_rank_one_path(d: PolyhedralDivisor, res: GorensteinSolution) -> None:
+def _check_rank_one_path(d: PolyhedralDivisor, res: GorensteinSolution) -> None:
     """Cross-check the full solve against the degree formula u0 = deg(K+B)/deg(D1)."""
     d1 = QDivisor.of([(p, poly.vertices[0][0]) for p, poly in support(d)])
     mu_b = QDivisor.of(
@@ -217,7 +209,8 @@ def _assert_rank_one_path(d: PolyhedralDivisor, res: GorensteinSolution) -> None
     if denom == 0:
         return
     u0 = (d.canonical.degree + mu_b.degree) / denom
-    assert res.u == (u0,), f"rank-1 fast path disagrees: {res.u} vs {u0}"
+    if res.u != (u0,):
+        raise InternalCheck(f"rank-1 fast path disagrees: {res.u} vs {u0}")
 
 
 def gorenstein_solve_numerical(
@@ -236,31 +229,22 @@ def gorenstein_solve_numerical(
     s = len(classes)
     if len(b) != s or len(vertex_lists) != s:
         raise ValueError("per-point data lengths disagree")
-    r = len(classes[0]) if s else 0
-    rows: list[list[int]] = []
-    for k in range(r):
-        rows.append([int(classes[i][k]) for i in range(s)] + [0] * lattice_rank)
-    rhs: list[Fraction] = [Fraction(0)] * r
-    for i in range(s):
-        for v in vertex_lists[i]:
-            m = mu(v)
-            row = [0] * s
-            row[i] = m
-            rows.append(row + [int(m * Fraction(x)) for x in v])
-            rhs.append(m * Fraction(b[i]) + m - 1)
-    for ray in extremal_rays:
-        rows.append([0] * s + [int(x) for x in ray])
-        rhs.append(Fraction(-1))
-    sol = solve_exact(rows, rhs)
-    if isinstance(sol, Inconsistent):
-        return NotQGorenstein("canonical-class system is inconsistent")
-    if isinstance(sol, Underdetermined):
-        raise UnsupportedShape("canonical-class system is underdetermined")
-    a = sol.x[:s]
-    u = sol.x[s:]
-    index = _integrality_index(list(u) + list(a))
-    pts = tuple(Point.label(f"Z{i+1}") for i in range(s))
-    return GorensteinSolution(tuple(zip(pts, a)), tuple(u), index, principality_checked=False)
+    vertices = []
+    for i, verts in enumerate(vertex_lists):
+        for v in verts:
+            vq = tuple(Fraction(x) for x in v)
+            vertices.append((i, vq, mu(vq)))
+    data = SystemData(
+        tuple(Point.label(f"Z{i+1}") for i in range(s)),
+        tuple(Fraction(x) for x in b),
+        tuple(vertices),
+        tuple(tuple(int(x) for x in ray) for ray in extremal_rays),
+        lattice_rank,
+    )
+    res = _solve_canonical(data, list(zip(*classes, strict=True)))
+    if isinstance(res, NotQGorenstein):
+        return res
+    return GorensteinSolution(*res, principality_checked=False)
 
 
 @dataclass(frozen=True)
@@ -274,7 +258,7 @@ class Factoriality:
 def factoriality_det(d: PolyhedralDivisor) -> Factoriality:
     """Square system with determinant +-1 characterizes a trivial class group."""
     data = _system_data(d)
-    rows = _monster_rows(data, d.base.projective)
+    rows = _monster_rows(data, _class_rows(d, data))
     m = len(rows)
     n_cols = len(data.points) + data.n
     if m != n_cols:
@@ -299,7 +283,7 @@ def generator_degrees(d: PolyhedralDivisor, target) -> tuple[tuple[int, ...], QD
     if isinstance(target, tuple) and len(target) == 2 and isinstance(target[0], Point):
         extra = (target[0],)
     data = _system_data(d, extra)
-    rows = _monster_rows(data, True)
+    rows = _monster_rows(data, _class_rows(d, data))
     rhs: list[Fraction] = [Fraction(0)]
     if isinstance(target, tuple) and len(target) == 2 and isinstance(target[0], Point):
         tp, tv = target[0], tuple(Fraction(x) for x in target[1])
@@ -319,11 +303,13 @@ def generator_degrees(d: PolyhedralDivisor, target) -> tuple[tuple[int, ...], QD
         if not found:
             raise ValueError("target ray is not an extremal ray")
     sol = solve_exact(rows, rhs)
-    assert isinstance(sol, Unique), "trivial class group guarantees a unique solution"
+    if not isinstance(sol, Unique):
+        raise InternalCheck("trivial class group guarantees a unique solution")
     s = len(data.points)
     a = sol.x[:s]
     u = sol.x[s:]
-    assert all(x.denominator == 1 for x in sol.x), "unimodular system must solve integrally"
+    if any(x.denominator != 1 for x in sol.x):
+        raise InternalCheck("unimodular system must solve integrally")
     f_div = QDivisor.of([(p, c) for p, c in zip(data.points, a)])
     return tuple(int(x) for x in u), f_div
 

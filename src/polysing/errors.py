@@ -47,3 +47,7 @@ class NotQGorensteinError(PolysingError):
 
 class ConstructionFailed(PolysingError):
     """The factorial construction could not be normalized to pass its determinant check."""
+
+
+class InternalCheck(PolysingError):
+    """An invariant that the algorithms guarantee failed to hold (a bug, not bad input)."""

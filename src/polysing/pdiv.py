@@ -20,11 +20,10 @@ from .polyhedra import (
     is_tail_trivial,
     minkowski_sum,
     normal_quasifan,
-    mu,
     support_value,
     tail_polyhedron,
 )
-from .ratlin import dot, primitive, scale_to_int
+from .ratlin import dot, mu, primitive, scale_to_int
 
 PROJECTIVE_LINE = "P1"
 AFFINE_LINE = "A1"

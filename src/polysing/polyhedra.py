@@ -6,6 +6,7 @@ demand by a double description sweep; the ambient rank is capped at 4.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -14,8 +15,10 @@ from typing import Iterable, Sequence
 
 from .errors import TailMismatch, UnboundedBelow, UnsupportedRank
 from .ratlin import (
+    determinant,
     dot,
     matrix_rank,
+    mu,  # re-exported: the lcm of denominators lives in ratlin
     primitive,
     scale_to_int,
     vec_add,
@@ -156,39 +159,10 @@ def _max_minor_gcd(rows: Sequence[tuple[int, ...]]) -> int:
     n = len(rows[0])
     g = 0
     for cols in combinations(range(n), k):
-        det = _int_det([[row[j] for j in cols] for row in rows])
-        g = gcd2(g, abs(det))
+        g = math.gcd(g, determinant([[row[j] for j in cols] for row in rows]))
         if g == 1:
             return 1
     return g
-
-
-def gcd2(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return abs(a)
-
-
-def _int_det(rows: list[list[int]]) -> int:
-    n = len(rows)
-    if n == 0:
-        return 1
-    mat = [row[:] for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if mat[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if mat[i][k] != 0), None)
-            if piv is None:
-                return 0
-            mat[k], mat[piv] = mat[piv], mat[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
-            mat[i][k] = 0
-        prev = mat[k][k]
-    return sign * mat[n - 1][n - 1]
 
 
 def is_regular(c: Cone) -> bool:
@@ -275,15 +249,6 @@ def minkowski_sum(a: SigmaPolyhedron, b: SigmaPolyhedron) -> SigmaPolyhedron:
         raise TailMismatch("Minkowski summands must share one tail cone")
     sums = {vec_add(v, w) for v in a.vertices for w in b.vertices}
     return sigma_polyhedron(sums, a.tail)
-
-
-def mu(v: Sequence) -> int:
-    """Least positive integer making v a lattice point (lcm of denominators)."""
-    out = 1
-    for x in v:
-        d = Fraction(x).denominator
-        out = out * d // gcd2(out, d)
-    return out
 
 
 def cayley_cone(parts: Sequence[tuple[SigmaPolyhedron, Sequence[int]]]) -> Cone:

@@ -98,11 +98,14 @@ def primitive(v: Sequence[int]) -> tuple[int, ...]:
     return tuple(int(x) // g for x in v)
 
 
+def mu(v: Sequence) -> int:
+    """Least positive integer making v a lattice point (lcm of denominators)."""
+    return math.lcm(*[Fraction(x).denominator for x in v])
+
+
 def scale_to_int(v: Sequence[Fraction]) -> tuple[int, ...]:
     """Clear denominators and make the result primitive."""
-    den = 1
-    for x in v:
-        den = den * Fraction(x).denominator // math.gcd(den, Fraction(x).denominator)
+    den = mu(v)
     return primitive([int(Fraction(x) * den) for x in v])
 
 
@@ -332,10 +335,13 @@ def solve_exact(a: Matrix, b: Sequence) -> Solution:
     return Underdetermined(tuple(x), tuple(basis))
 
 
-def _int_rank(a: Matrix) -> int:
-    rows = [list(r) for r in a]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
+def matrix_rank(a: Matrix) -> int:
+    """Rank by fraction-free elimination; a row with Fraction entries is first
+    scaled to a primitive integer row, which keeps the rank."""
+    m, n = _dims(a)
+    if m == 0 or n == 0:
+        return 0
+    rows = [list(r) if all(isinstance(x, int) for x in r) else list(scale_to_int(r)) for r in a]
     rank = 0
     for col in range(n):
         piv = next((i for i in range(rank, m) if rows[i][col] != 0), None)
@@ -350,31 +356,6 @@ def _int_rank(a: Matrix) -> int:
                 g = math.gcd(a0, b0)
                 fa, fb = a0 // g, b0 // g
                 rows[i] = [fa * y - fb * x for y, x in zip(rows[i], pr)]
-        rank += 1
-        if rank == m:
-            break
-    return rank
-
-
-def matrix_rank(a: Matrix) -> int:
-    m, n = _dims(a)
-    if m == 0 or n == 0:
-        return 0
-    if all(isinstance(x, int) for row in a for x in row):
-        return _int_rank(a)
-    r = [[Fraction(x) for x in row] for row in a]
-    rank = 0
-    for col in range(n):
-        piv = next((i for i in range(rank, m) if r[i][col] != 0), None)
-        if piv is None:
-            continue
-        r[rank], r[piv] = r[piv], r[rank]
-        inv = 1 / r[rank][col]
-        r[rank] = [x * inv for x in r[rank]]
-        for i in range(m):
-            if i != rank and r[i][col] != 0:
-                f = r[i][col]
-                r[i] = [x - f * y for x, y in zip(r[i], r[rank])]
         rank += 1
         if rank == m:
             break
@@ -397,11 +378,15 @@ def saturated_basis(rows: Sequence[Sequence[int]], ambient: int) -> list[tuple[i
 
 
 def invert_unimodular(v: Sequence[Sequence[int]]) -> list[list[int]]:
-    n = len(v)
-    sol_cols = []
-    for j in range(n):
-        b = [Fraction(1) if i == j else Fraction(0) for i in range(n)]
-        res = solve_exact(v, b)
-        assert isinstance(res, Unique)
-        sol_cols.append([int(x) for x in res.x])
-    return [[sol_cols[j][i] for j in range(n)] for i in range(n)]
+    """Exact inverse of a square integer matrix with determinant +-1.
+
+    With U A V = I from the Smith form, A^-1 = V U; any other invariant
+    factor means A is not unimodular.
+    """
+    m, n = _dims(v)
+    if m != n:
+        raise ShapeError(f"invert_unimodular needs a square matrix, got {m}x{n}")
+    sf = smith_normal_form(v)
+    if any(x != 1 for x in sf.diagonal):
+        raise DegenerateInput(f"matrix is not unimodular (invariant factors {sf.diagonal})")
+    return [[dot(row, col) for col in zip(*sf.left)] for row in sf.right]

@@ -16,7 +16,7 @@ from .divclass import (
     gorenstein_solve,
     require_gorenstein,
 )
-from .errors import UnsupportedBase, UnsupportedRank, UnsupportedShape
+from .errors import InternalCheck, UnsupportedBase, UnsupportedRank, UnsupportedShape
 from .pdiv import (
     ABSTRACT,
     PROJECTIVE_LINE,
@@ -45,12 +45,11 @@ from .polyhedra import (
     is_regular,
     minimal_generators,
     minkowski_sum,
-    mu,
     polytope_vertices,
     tail_polyhedron,
     translate,
 )
-from .ratlin import dot, matrix_rank, saturated_basis, scale_to_int, vec_add
+from .ratlin import dot, matrix_rank, mu, saturated_basis, scale_to_int, vec_add
 
 DEFAULT_BUDGET = 10**6
 
@@ -232,7 +231,8 @@ def _adapted_basis(f_gens: Sequence[tuple[int, ...]], n: int) -> tuple[list[tupl
     sat = saturated_basis(f_gens, n)
     k = len(sat)
     sf = smith_normal_form(list(sat))
-    assert all(x == 1 for x in sf.diagonal), "saturation must be a direct summand"
+    if any(x != 1 for x in sf.diagonal):
+        raise InternalCheck("saturation must be a direct summand")
     v_inv = invert_unimodular(sf.right)
     return list(sat) + [tuple(v_inv[i]) for i in range(k, n)], k
 
@@ -282,7 +282,8 @@ def _scan_cell(d: PolyhedralDivisor, cell, budget: int):
     w_deg = tuple(sum((v[i] for v in sel), Fraction(0)) for i in range(n))
     gens = cell.cone.generators
     f_gens = [g for g in gens if dot(g, w_deg) == 0]
-    assert all(dot(g, w_deg) >= 0 for g in gens), "properness bounds the degree below"
+    if any(dot(g, w_deg) < 0 for g in gens):
+        raise InternalCheck("properness bounds the degree below")
     basis, k = _adapted_basis(f_gens, n)
     m_free = n - k
     coords = {g: _coords_of(g, basis) for g in gens}
@@ -344,7 +345,8 @@ def _scan_cell(d: PolyhedralDivisor, cell, budget: int):
         s = 0
         for ax, b_eff in rows_x:
             aw = dot(ax, w0)
-            assert aw > 0, "slab direction must strictly satisfy every slice constraint"
+            if aw <= 0:
+                raise InternalCheck("slab direction must strictly satisfy every slice constraint")
             slack = b_eff - sum(min(a, 0) * (ell - 1) for a in ax)
             if slack > 0:
                 s = max(s, math.ceil(Fraction(slack) / aw))
@@ -365,8 +367,10 @@ def _coords_of(vec: Sequence[int], basis: list[tuple[int, ...]]) -> tuple[int, .
 
     cols = [[basis[i][j] for i in range(len(basis))] for j in range(len(vec))]
     res = solve_exact(cols, list(vec))
-    assert isinstance(res, Unique)
-    assert all(x.denominator == 1 for x in res.x)
+    if not isinstance(res, Unique):
+        raise InternalCheck("a lattice basis gives unique coordinates")
+    if any(x.denominator != 1 for x in res.x):
+        raise InternalCheck("coordinates in a lattice basis are integral")
     return tuple(int(x) for x in res.x)
 
 
@@ -382,7 +386,8 @@ def _ybox(image_gens, deg_rows, bound, m_free):
     from .polyhedra import make_cone
 
     img = [g for g in image_gens if any(g)]
-    assert img, "a full-dimensional cell projects onto the transversal space"
+    if not img:
+        raise InternalCheck("a full-dimensional cell projects onto the transversal space")
     cone_y = make_cone(img, m_free)
     rows = [tuple(Fraction(x) for x in h) for h in halfspaces(cone_y)]
     b_vals = [Fraction(0)] * len(rows)
@@ -501,7 +506,8 @@ def check_log_terminal(d: PolyhedralDivisor) -> Verdict:
             verdict = Verdict("no", witness=str(total), reason="boundary multiplicity sum reaches 2")
     report = discrepancies(d, sol)
     via_discr = all(e.value > -1 for e in report.entries)
-    assert via_discr == bool(verdict), "boundary-sum and discrepancy criteria disagree"
+    if via_discr != bool(verdict):
+        raise InternalCheck("boundary-sum and discrepancy criteria disagree")
     return verdict
 
 
@@ -539,7 +545,8 @@ def classify_canonical(d: PolyhedralDivisor) -> CanonicalType:
         return CanonicalType("not_canonical", None, idx, u0, "not log-terminal")
     if idx != 1:
         return CanonicalType("not_canonical", None, idx, u0, f"Gorenstein index {idx} exceeds 1")
-    assert u0 <= -1, "index one and log-terminal force u0 <= -1"
+    if u0 > -1:
+        raise InternalCheck("index one and log-terminal force u0 <= -1")
     profile = sorted(m for _, m in bd.mu_max if m > 1)
     if len(profile) <= 2:
         cg = class_group(d)
@@ -551,7 +558,7 @@ def classify_canonical(d: PolyhedralDivisor) -> CanonicalType:
         return CanonicalType("D", profile[2] + 2, idx, u0)
     if profile[0] == 2 and profile[1] == 3 and profile[2] in (3, 4, 5):
         return CanonicalType("E", profile[2] + 3, idx, u0)
-    raise AssertionError("log-terminal profiles are Platonic")
+    raise InternalCheck("log-terminal profiles are Platonic")
 
 
 @dataclass(frozen=True)

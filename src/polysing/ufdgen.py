@@ -10,7 +10,7 @@ from itertools import product
 from typing import Sequence
 
 from .divclass import factoriality_det, generator_degrees
-from .errors import ConstructionFailed, DegenerateInput
+from .errors import ConstructionFailed, DegenerateInput, InternalCheck
 from .pdiv import (
     P1,
     Point,
@@ -21,7 +21,7 @@ from .pdiv import (
     rank,
 )
 from .polyhedra import make_cone, lattice_points, sigma_polyhedron
-from .ratlin import dot, ext_gcd, ext_gcd_multi, scale_to_int
+from .ratlin import dot, ext_gcd, ext_gcd_multi, mu, scale_to_int
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,8 @@ def _build_vertices(mus: list[tuple[int, ...]], tweaks: dict, depth: int = 0):
         for (i1, i2), k in tweaks.get(("base", depth), {}).items():
             coeffs[i1] += k * vals[i1]
             coeffs[i2] -= k * vals[i2]
-        assert sum(c * p for c, p in zip(coeffs, partials)) == 1
+        if sum(c * p for c, p in zip(coeffs, partials)) != 1:
+            raise InternalCheck("Bezout coefficients must stay a certificate of 1")
         return [[(Fraction(c, v),)] for c, v in zip(coeffs, vals)]
     mu_a, mu_b = mus[j][-2], mus[j][-1]
     g, alpha, beta = ext_gcd(mu_a, mu_b)
@@ -90,7 +91,8 @@ def _build_vertices(mus: list[tuple[int, ...]], tweaks: dict, depth: int = 0):
     if k:
         alpha -= k * mu_b
         beta += k * mu_a
-    assert alpha * mu_a + beta * mu_b == g
+    if alpha * mu_a + beta * mu_b != g:
+        raise InternalCheck("split coefficients must stay a Bezout certificate")
     sub_mus = list(mus)
     sub_mus[j] = mus[j][:-2] + (g,)
     sub = _build_vertices(sub_mus, tweaks, depth + 1)
@@ -227,12 +229,13 @@ def presentation(data: AdmissibleData, divisor: PolyhedralDivisor | None = None)
     degrees: list[tuple[int, ...]] = []
     for p, t in data.entries:
         verts = coefficient_at(divisor, p).vertices
-        assert len(verts) == len(t), "one vertex per tuple member"
+        if len(verts) != len(t):
+            raise InternalCheck("one vertex per tuple member")
         # vertices are stored sorted; realign with the tuple through the
         # multiplicity (ties are symmetric in the relations, so any order works)
         by_mu: dict[int, list] = {}
         for v in verts:
-            by_mu.setdefault(_mu_of(v), []).append(v)
+            by_mu.setdefault(mu(v), []).append(v)
         for m in t:
             v = by_mu[m].pop(0)
             u, _ = generator_degrees(divisor, (p, v))
@@ -258,13 +261,6 @@ def presentation(data: AdmissibleData, divisor: PolyhedralDivisor | None = None)
         )
         leads.append(tuple(lead))
     return Presentation(tuple(names), tuple(degrees), tuple(relations), tuple(leads), data.dimension)
-
-
-def _mu_of(v) -> int:
-    out = 1
-    for x in v:
-        out = math.lcm(out, Fraction(x).denominator)
-    return out
 
 
 @dataclass(frozen=True)
@@ -349,23 +345,22 @@ class IsolatedFamily:
         return self.label in ("cA", "fourfold_A", "fivefold_A1", "smooth")
 
 
-def classify_isolated_factorial(data: AdmissibleData, verify: bool = True) -> IsolatedFamily:
+def classify_isolated_factorial(data: AdmissibleData) -> IsolatedFamily:
     """Match the data against the families with isolated singular vertex.
 
     Singleton-1 entries present linear variables and are dropped; any long
-    tuple beyond (1,1) forces a positive-dimensional singular locus.  With
-    verify on, the patterns are confirmed against the facet-by-facet test on
-    the constructed divisor.
+    tuple beyond (1,1) forces a positive-dimensional singular locus.  The
+    pattern is always confirmed against the facet-by-facet test on the
+    constructed divisor.
     """
     if data.dimension < 3:
         return IsolatedFamily("not_hypersurface_dim")
     reduced = [tuple(sorted(t)) for _, t in data.entries if tuple(t) != (1,)]
     fam = _match_families(reduced)
-    if verify:
-        from .singcheck import check_isolated
+    from .singcheck import check_isolated
 
-        iso = check_isolated(construct_divisor(data))
-        assert fam.isolated == bool(iso), f"pattern and facet test disagree on {data}"
+    if fam.isolated != bool(check_isolated(construct_divisor(data))):
+        raise InternalCheck(f"pattern and facet test disagree on {data}")
     return fam
 
 

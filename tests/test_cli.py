@@ -203,3 +203,23 @@ def test_cli_batch_mixed_directory(data_dir):
     assert len(lines) == 7  # 6 divisor documents + 1 numerical document
     assert "parse error" in proc.stderr
     assert proc.returncode == EXIT_PARSE_ERROR
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("tail_rays", [["a"]]), ("coefficients", [5]), ("canonical_divisor", 7)],
+)
+def test_cli_malformed_document_exit(tmp_path, field, value):
+    doc = {
+        "format": 1,
+        "lattice_rank": 1,
+        "tail_rays": [[1]],
+        "coefficients": [{"point": "inf", "vertices": [["3/2"]]}],
+        field: value,
+    }
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli(["analyze", str(path)])
+    assert proc.returncode == EXIT_PARSE_ERROR
+    assert "Traceback" not in proc.stderr
+    assert field in proc.stderr
