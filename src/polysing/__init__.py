@@ -40,6 +40,7 @@ from .polyhedra import (
     minkowski_sum,
     mu,
     normal_quasifan,
+    normal_rays,
     sigma_polyhedron,
     support_value,
 )

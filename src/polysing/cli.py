@@ -12,6 +12,7 @@ from pathlib import Path
 from . import divclass, pdiv, polyhedra, singcheck, ufdgen
 from .errors import InternalCheck, PolysingError
 from .pdiv import A1, P1, Curve, Point, QDivisor
+from .ratlin import primitive
 
 FORMAT_VERSION = 1
 
@@ -49,9 +50,20 @@ def _rat(text, where) -> Fraction:
 
 def _int(value, where) -> int:
     try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"bad integer {value!r} ({exc})", where)
+        x = Fraction(str(value).replace("−", "-"))
+    except (ValueError, ZeroDivisionError):
+        x = None
+    if x is None or x.denominator != 1:
+        raise ParseError(f"bad integer {value!r}", where)
+    return int(x)
+
+
+def _lattice_rank(value, where) -> int:
+    if not isinstance(value, int) or value < 1:
+        raise ParseError("lattice_rank must be a positive integer", where)
+    if value > polyhedra.RANK_CAP:
+        raise ParseError(f"lattice_rank {value} exceeds the supported cap {polyhedra.RANK_CAP}", where)
+    return value
 
 
 def _list_of(value, kind: type, what: str, where) -> list:
@@ -92,6 +104,8 @@ def parse_document(doc: dict, where: str = "input") -> dict:
 
 def _parse_base(doc, where) -> Curve:
     base = doc.get("base", {"kind": "P1"})
+    if not isinstance(base, dict):
+        raise ParseError("base must be an object", where)
     kind = base.get("kind", "P1")
     if kind == "P1":
         return P1
@@ -107,9 +121,7 @@ def _parse_base(doc, where) -> Curve:
 
 def _parse_divisor(doc, where) -> pdiv.PolyhedralDivisor:
     base = _parse_base(doc, where)
-    rank = doc.get("lattice_rank")
-    if not isinstance(rank, int) or rank < 1:
-        raise ParseError("lattice_rank must be a positive integer", where)
+    rank = _lattice_rank(doc.get("lattice_rank"), where)
     rays = _list_of(doc.get("tail_rays", []), list, "tail_rays", where)
     for i, ray in enumerate(rays):
         if len(ray) != rank:
@@ -149,9 +161,11 @@ def _parse_admissible(doc, where) -> ufdgen.AdmissibleData:
     base = _parse_base(doc, where)
     if base.kind != pdiv.PROJECTIVE_LINE:
         raise ParseError("admissible data lives on P1", where)
-    entries = doc.get("entries", [])
+    entries = _list_of(doc["entries"], dict, "entries", where)
     parsed = []
     have_points = any("point" in e for e in entries)
+    if have_points and not all("point" in e for e in entries):
+        raise ParseError("entries must all carry a point or none may", where)
     defaults = ufdgen.default_points(len(entries))
     for i, e in enumerate(entries):
         loc = f"{where}: entry #{i + 1}"
@@ -168,23 +182,34 @@ def _parse_admissible(doc, where) -> ufdgen.AdmissibleData:
 
 def _parse_numerical(block, where) -> dict:
     loc = f"{where}: numerical"
-    points = block.get("points", [])
+    if not isinstance(block, dict):
+        raise ParseError("numerical must be an object", where)
+    rank = _lattice_rank(block.get("lattice_rank"), loc)
+
+    def vectors(value, what, where, scalar):
+        out = []
+        for v in _list_of(value, list, what, where):
+            if len(v) != rank:
+                raise ParseError(f"{what} member has wrong dimension", where)
+            out.append([scalar(x, f"{where}: {what}") for x in v])
+        return out
+
     classes = []
     bs = []
     vertex_lists = []
-    for i, p in enumerate(points):
-        classes.append([int(x) for x in p.get("class", [])])
-        bs.append(_rat(p.get("b", 0), loc))
-        vertex_lists.append([[_rat(x, loc) for x in v] for v in p.get("vertices", [])])
-    rays = [[int(x) for x in r] for r in block.get("extremal_rays", [])]
-    rank = block.get("lattice_rank")
-    if not isinstance(rank, int) or rank < 1:
-        raise ParseError("numerical block needs lattice_rank", loc)
+    for i, p in enumerate(_list_of(block.get("points", []), dict, "points", loc)):
+        ploc = f"{loc}: point #{i + 1}"
+        cls = p.get("class", [])
+        if not isinstance(cls, list) or (classes and len(cls) != len(classes[0])):
+            raise ParseError("class must be a list of integers as long as the others", ploc)
+        classes.append([_int(x, f"{ploc}: class") for x in cls])
+        bs.append(_rat(p.get("b", 0), ploc))
+        vertex_lists.append(vectors(p.get("vertices", []), "vertices", ploc, _rat))
     return {
         "classes": classes,
         "b": bs,
         "vertex_lists": vertex_lists,
-        "extremal_rays": rays,
+        "extremal_rays": vectors(block.get("extremal_rays", []), "extremal_rays", loc, _int),
         "lattice_rank": rank,
     }
 
@@ -564,8 +589,6 @@ def _dispatch(args) -> int:
 
 
 def _interior_weight(d: pdiv.PolyhedralDivisor):
-    from .ratlin import primitive
-
     gens = polyhedra.minimal_generators(d.tail)
     return primitive([sum(g[i] for g in gens) for i in range(pdiv.rank(d))])
 

@@ -18,12 +18,14 @@ from .polyhedra import (
     halfspaces,
     is_pointed,
     is_tail_trivial,
+    minimal_generators,
     minkowski_sum,
     normal_quasifan,
+    normal_rays,
     support_value,
     tail_polyhedron,
 )
-from .ratlin import dot, mu, primitive, scale_to_int
+from .ratlin import dot, mu, primitive
 
 PROJECTIVE_LINE = "P1"
 AFFINE_LINE = "A1"
@@ -226,22 +228,6 @@ class Properness:
         return self.status == "proper"
 
 
-def _point_in_polyhedron(z: Sequence, p: SigmaPolyhedron) -> bool:
-    """Membership via the support function over all vertex normal-cone generators."""
-    n = p.tail.ambient_rank
-    from .polyhedra import _dd_halfspaces  # local: shares the DD machinery
-    from .ratlin import vec_sub
-
-    for v in p.vertices:
-        constraints = [scale_to_int(vec_sub(w, v)) for w in p.vertices if w != v]
-        constraints += list(p.tail.generators)
-        for u in _dd_halfspaces(tuple(constraints), n):
-            val, _ = support_value(p, u)
-            if dot(u, z) < val:
-                return False
-    return True
-
-
 @lru_cache(maxsize=None)
 def is_proper(d: PolyhedralDivisor) -> Properness:
     """Semi-ampleness plus bigness on the interior of the dual tail cone.
@@ -264,8 +250,8 @@ def is_proper(d: PolyhedralDivisor) -> Properness:
             if not cone_contains(sigma, v):
                 h = next(h for h in halfspaces(sigma) if dot(h, v) < 0)
                 return Properness("not_proper", h)
-        zero = tuple(Fraction(0) for _ in range(sigma.ambient_rank))
-        if _point_in_polyhedron(zero, degp):
+        # the origin lies in deg D iff no normal ray has a positive minimum there
+        if all(support_value(degp, u)[0] <= 0 for u in normal_rays(degp)):
             return Properness("not_proper", _interior_sample(sigma))
         return Properness("proper")
     # genus >= 1: decide by degrees alone
@@ -299,16 +285,11 @@ class ExtremalData:
     deg: SigmaPolyhedron | None
 
 
-def _ray_meets_polyhedron(ray: tuple[int, ...], p: SigmaPolyhedron) -> bool:
-    """Does {t * ray : t >= 0} intersect p?  Reduced to a 1-dim interval check."""
-    from .polyhedra import _dd_halfspaces
-
-    n = p.tail.ambient_rank
-    normals: set[tuple[int, ...]] = set()
-    for v in p.vertices:
-        constraints = [scale_to_int((w[i] - v[i] for i in range(n))) for w in p.vertices if w != v]
-        constraints += list(p.tail.generators)
-        normals.update(_dd_halfspaces(tuple(constraints), n))
+def _ray_meets_polyhedron(
+    ray: tuple[int, ...], p: SigmaPolyhedron, normals: set[tuple[int, ...]]
+) -> bool:
+    """Does {t * ray : t >= 0} intersect p?  Reduced to a 1-dim interval check
+    over the normal rays of p."""
     lo = Fraction(0)
     hi = None
     for u in normals:
@@ -329,8 +310,6 @@ def _ray_meets_polyhedron(ray: tuple[int, ...], p: SigmaPolyhedron) -> bool:
 def extremal_data(d: PolyhedralDivisor) -> ExtremalData:
     """Which tail rays survive on the contracted variety; every vertex does."""
     require_proper(d)
-    from .polyhedra import minimal_generators
-
     rays = minimal_generators(d.tail)
     verts = []
     for p, poly in support(d):
@@ -339,9 +318,10 @@ def extremal_data(d: PolyhedralDivisor) -> ExtremalData:
     if not d.base.projective:
         return ExtremalData(tuple(rays), (), tuple(verts), None)
     degp = deg_polyhedron(d)
+    normals = set(normal_rays(degp))
     ext, non_ext = [], []
     for r in rays:
-        (non_ext if _ray_meets_polyhedron(r, degp) else ext).append(r)
+        (non_ext if _ray_meets_polyhedron(r, degp, normals) else ext).append(r)
     return ExtremalData(tuple(ext), tuple(non_ext), tuple(verts), degp)
 
 

@@ -2,7 +2,10 @@
 
 Everything is exact: cones are given by primitive integer generators, polyhedra
 by rational vertices plus a tail cone.  Half-space descriptions are derived on
-demand by a double description sweep; the ambient rank is capped at 4.
+demand by a double description sweep; the ambient rank is capped at 4.  Every
+normal cone (which candidates are vertices, the vertices of a Minkowski sum,
+point membership, ray meeting and the quasifan cells) comes from one sweep per
+joint vertex selection, `_normal_cones`.
 """
 from __future__ import annotations
 
@@ -15,12 +18,14 @@ from typing import Iterable, Sequence
 
 from .errors import TailMismatch, UnboundedBelow, UnsupportedRank
 from .ratlin import (
+    Unique,
     determinant,
     dot,
     matrix_rank,
     mu,  # re-exported: the lcm of denominators lives in ratlin
     primitive,
     scale_to_int,
+    solve_exact,
     vec_add,
     vec_sub,
 )
@@ -194,19 +199,27 @@ def _rat_vec(v: Sequence) -> tuple[Fraction, ...]:
     return tuple(Fraction(x) for x in v)
 
 
+def _normal_cones(vertex_sets: Sequence[Sequence[tuple[Fraction, ...]]], tail: Cone):
+    """Yield (selection, generators) for each joint selection of one vertex per
+    set: the generators span the functionals in the dual of the tail that every
+    selected vertex minimizes over its set.
+
+    The tail constraints go first, so the sweep starts from the dual of the
+    tail, which is pointed for a full-dimensional tail.
+    """
+    for selection in product(*vertex_sets):
+        constraints = list(tail.generators)
+        for vs, v in zip(vertex_sets, selection):
+            constraints += [scale_to_int(vec_sub(w, v)) for w in vs if w != v]
+        yield selection, _dd_halfspaces(tuple(constraints), tail.ambient_rank)
+
+
 def _true_vertices(
     candidates: Sequence[tuple[Fraction, ...]], tail: Cone
 ) -> tuple[tuple[Fraction, ...], ...]:
-    cands = sorted(set(candidates))
     n = tail.ambient_rank
-    kept = []
-    for v in cands:
-        constraints = [scale_to_int(vec_sub(w, v)) for w in cands if w != v]
-        constraints += [g for g in tail.generators]
-        normal_gens = _dd_halfspaces(tuple(constraints), n)
-        if matrix_rank(normal_gens) == n:
-            kept.append(v)
-    return tuple(kept)
+    cones = _normal_cones([sorted(set(candidates))], tail)
+    return tuple(sel[0] for sel, gens in cones if matrix_rank(gens) == n)
 
 
 def sigma_polyhedron(vertices: Iterable[Sequence], tail: Cone) -> SigmaPolyhedron:
@@ -244,11 +257,24 @@ def support_value(p: SigmaPolyhedron, u: Sequence) -> tuple[Fraction, tuple[tupl
     return best, tuple(v for val, v in values if val == best)
 
 
+def normal_rays(p: SigmaPolyhedron):
+    """Yield the generators of the normal cones of the vertices of p, vertex by
+    vertex and possibly repeated: a point z lies in p iff <u, z> >= min <u, p>
+    for every one of them."""
+    for _, gens in _normal_cones([p.vertices], p.tail):
+        yield from gens
+
+
 def minkowski_sum(a: SigmaPolyhedron, b: SigmaPolyhedron) -> SigmaPolyhedron:
+    """v + w is a vertex of a + b iff the normal cones of v in a and of w in b
+    meet in a full-dimensional cone."""
     if a.tail != b.tail:
         raise TailMismatch("Minkowski summands must share one tail cone")
-    sums = {vec_add(v, w) for v in a.vertices for w in b.vertices}
-    return sigma_polyhedron(sums, a.tail)
+    n = a.tail.ambient_rank
+    cones = _normal_cones([a.vertices, b.vertices], a.tail)
+    return SigmaPolyhedron(
+        tuple(sorted(vec_add(v, w) for (v, w), gens in cones if matrix_rank(gens) == n)), a.tail
+    )
 
 
 def cayley_cone(parts: Sequence[tuple[SigmaPolyhedron, Sequence[int]]]) -> Cone:
@@ -296,17 +322,11 @@ def normal_quasifan(coeffs: Sequence[SigmaPolyhedron], sigma: Cone) -> QuasiFan:
     for p in coeffs:
         if p.tail != sigma:
             raise TailMismatch("coefficients must have tail cone sigma")
-    cells = []
-    for selection in product(*(p.vertices for p in coeffs)):
-        constraints = [g for g in sigma.generators]
-        for p, v in zip(coeffs, selection):
-            for w in p.vertices:
-                if w != v:
-                    constraints.append(scale_to_int(vec_sub(w, v)))
-        gens = _dd_halfspaces(tuple(constraints), n)
-        if matrix_rank(gens) == n:
-            cell = Cone(n, minimal_generators(Cone(n, gens)))
-            cells.append(QuasiCell(cell, tuple(selection)))
+    cells = [
+        QuasiCell(Cone(n, minimal_generators(Cone(n, gens))), selection)
+        for selection, gens in _normal_cones([p.vertices for p in coeffs], sigma)
+        if matrix_rank(gens) == n
+    ]
     return QuasiFan(tuple(sorted(cells, key=lambda c: c.cone.generators)))
 
 
@@ -318,8 +338,6 @@ def face_of(p: SigmaPolyhedron, u: Sequence) -> SigmaPolyhedron:
 
 def polytope_vertices(rows: Sequence[Sequence], rhs: Sequence, dim: int) -> list[tuple[Fraction, ...]]:
     """Vertices of {x : rows[i] . x >= rhs[i]} (meaningful for bounded regions)."""
-    from .ratlin import Unique, solve_exact
-
     idx = [i for i in range(len(rows)) if any(rows[i])]
     verts = []
     for sel in combinations(idx, dim):
@@ -337,17 +355,14 @@ def polytope_vertices(rows: Sequence[Sequence], rhs: Sequence, dim: int) -> list
 
 def lattice_points(rows: Sequence[Sequence], rhs: Sequence, dim: int):
     """Integer points of the bounded region {x : rows . x >= rhs}."""
-    import math as _math
-    from itertools import product as _product
-
     verts = polytope_vertices(rows, rhs, dim)
     if not verts:
         return
     ranges = []
     for j in range(dim):
-        lo = _math.ceil(min(v[j] for v in verts))
-        hi = _math.floor(max(v[j] for v in verts))
+        lo = math.ceil(min(v[j] for v in verts))
+        hi = math.floor(max(v[j] for v in verts))
         ranges.append(range(lo, hi + 1))
-    for x in _product(*ranges):
+    for x in product(*ranges):
         if all(dot(rows[i], x) >= rhs[i] for i in range(len(rows))):
             yield x

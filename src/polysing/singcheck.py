@@ -45,11 +45,21 @@ from .polyhedra import (
     is_regular,
     minimal_generators,
     minkowski_sum,
-    polytope_vertices,
     tail_polyhedron,
     translate,
 )
-from .ratlin import dot, matrix_rank, mu, saturated_basis, scale_to_int, vec_add
+from .ratlin import (
+    Unique,
+    dot,
+    invert_unimodular,
+    matrix_rank,
+    mu,
+    saturated_basis,
+    scale_to_int,
+    smith_normal_form,
+    solve_exact,
+    vec_add,
+)
 
 DEFAULT_BUDGET = 10**6
 
@@ -226,8 +236,6 @@ def _adapted_basis(f_gens: Sequence[tuple[int, ...]], n: int) -> tuple[list[tupl
     """
     if not f_gens:
         return [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)], 0
-    from .ratlin import invert_unimodular, smith_normal_form
-
     sat = saturated_basis(f_gens, n)
     k = len(sat)
     sf = smith_normal_form(list(sat))
@@ -303,14 +311,7 @@ def _scan_cell(d: PolyhedralDivisor, cell, budget: int):
     constraints.append((deg_row, -bound))
 
     # the transversal part ranges over the projected cell cut by the degree bound
-    ybox = _ybox(
-        [coords[g][k:] for g in gens],
-        [deg_row[k:], tuple(-x for x in deg_row[k:])],
-        bound,
-        m_free,
-    )
-    if ybox is None:
-        return ("ok", None, 0)
+    ybox = _ybox([coords[g][k:] for g in gens], tuple(-x for x in deg_row[k:]), bound, m_free)
     count = ell**k
     for lo, hi in ybox:
         count *= max(hi - lo + 1, 0)
@@ -363,8 +364,6 @@ def _scan_cell(d: PolyhedralDivisor, cell, budget: int):
 
 
 def _coords_of(vec: Sequence[int], basis: list[tuple[int, ...]]) -> tuple[int, ...]:
-    from .ratlin import Unique, solve_exact
-
     cols = [[basis[i][j] for i in range(len(basis))] for j in range(len(vec))]
     res = solve_exact(cols, list(vec))
     if not isinstance(res, Unique):
@@ -374,34 +373,28 @@ def _coords_of(vec: Sequence[int], basis: list[tuple[int, ...]]) -> tuple[int, .
     return tuple(int(x) for x in res.x)
 
 
-def _ybox(image_gens, deg_rows, bound, m_free):
+def _ybox(image_gens, deg_y, bound, m_free):
     """Integer bounding box of the projected cell cut by the degree bound.
 
-    The projection of the cell is the cone spanned by the generator images;
-    the degree is a function of the projected coordinates alone, positive off
-    the origin, so the region is a polytope.
+    The projection of the cell is the cone spanned by the generator images and
+    the degree deg_y is positive on each nonzero image, so the region is
+    conv(0, bound * g / deg(g)) and its box is the box of those corners.
     """
     if m_free == 0:
         return []
-    from .polyhedra import make_cone
-
     img = [g for g in image_gens if any(g)]
     if not img:
         raise InternalCheck("a full-dimensional cell projects onto the transversal space")
-    cone_y = make_cone(img, m_free)
-    rows = [tuple(Fraction(x) for x in h) for h in halfspaces(cone_y)]
-    b_vals = [Fraction(0)] * len(rows)
-    rows.append(tuple(Fraction(x) for x in deg_rows[0]))
-    b_vals.append(Fraction(-bound))
-    verts = polytope_vertices(rows, b_vals, m_free)
-    if not verts:
-        return None
-    box = []
-    for j in range(m_free):
-        lo = min(v[j] for v in verts)
-        hi = max(v[j] for v in verts)
-        box.append((math.ceil(lo), math.floor(hi)))
-    return box
+    corners = [(0,) * m_free]
+    for g in img:
+        deg = dot(deg_y, g)
+        if deg <= 0:
+            raise InternalCheck("the degree is positive off the degree-zero face")
+        corners.append(tuple(bound * x / deg for x in g))
+    return [
+        (math.ceil(min(c[j] for c in corners)), math.floor(max(c[j] for c in corners)))
+        for j in range(m_free)
+    ]
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,9 @@ from .pdiv import (
     polyhedral_divisor,
     rank,
 )
-from .polyhedra import make_cone, lattice_points, sigma_polyhedron
+from .polyhedra import cone_dim, halfspaces, make_cone, lattice_points, sigma_polyhedron
 from .ratlin import dot, ext_gcd, ext_gcd_multi, mu, scale_to_int
+from .singcheck import check_isolated
 
 
 @dataclass(frozen=True)
@@ -284,8 +285,6 @@ def hilbert_compare(
     is exact because the leading monomials live in disjoint variable groups
     (inclusion-exclusion over subsets).
     """
-    from .polyhedra import cone_dim, halfspaces
-
     n = rank(d)
     if cone_dim(d.tail) != n:
         raise DegenerateInput("graded comparison needs a full-dimensional tail cone")
@@ -357,8 +356,6 @@ def classify_isolated_factorial(data: AdmissibleData) -> IsolatedFamily:
         return IsolatedFamily("not_hypersurface_dim")
     reduced = [tuple(sorted(t)) for _, t in data.entries if tuple(t) != (1,)]
     fam = _match_families(reduced)
-    from .singcheck import check_isolated
-
     if fam.isolated != bool(check_isolated(construct_divisor(data))):
         raise InternalCheck(f"pattern and facet test disagree on {data}")
     return fam

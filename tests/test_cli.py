@@ -1,4 +1,5 @@
 import json
+import signal
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -207,7 +208,13 @@ def test_cli_batch_mixed_directory(data_dir):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("tail_rays", [["a"]]), ("coefficients", [5]), ("canonical_divisor", 7)],
+    [
+        ("tail_rays", [["a"]]),
+        ("coefficients", [5]),
+        ("canonical_divisor", 7),
+        ("base", "P1"),
+        ("lattice_rank", 5),
+    ],
 )
 def test_cli_malformed_document_exit(tmp_path, field, value):
     doc = {
@@ -223,3 +230,65 @@ def test_cli_malformed_document_exit(tmp_path, field, value):
     assert proc.returncode == EXIT_PARSE_ERROR
     assert "Traceback" not in proc.stderr
     assert field in proc.stderr
+
+
+def _numerical_doc(**changes):
+    block = {
+        "lattice_rank": 1,
+        "points": [{"class": [1], "vertices": [["1/2"]]}, {"class": [1], "vertices": [["-1/3"]]}],
+        "extremal_rays": [[1]],
+    }
+    block.update(changes)
+    return {"format": 1, "numerical": block}
+
+
+@pytest.mark.parametrize(
+    "doc, needle",
+    [
+        ({"format": 1, "entries": [5]}, "entries"),
+        ({"format": 1, "entries": [{"point": "0", "mu": [2]}, {"mu": [3]}]}, "point"),
+        (_numerical_doc(points=[{"class": ["a"], "vertices": [["1/2"]]}]), "class"),
+        (_numerical_doc(extremal_rays=[["1/2"]]), "extremal_rays"),
+        (_numerical_doc(lattice_rank=5), "cap 4"),
+        ({"format": 1, "lattice_rank": 5, "tail_rays": [], "coefficients": []}, "cap 4"),
+    ],
+)
+def test_cli_malformed_data_exit(tmp_path, doc, needle):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    proc = run_cli(["analyze", str(path)])
+    assert proc.returncode == EXIT_PARSE_ERROR
+    assert "Traceback" not in proc.stderr
+    assert needle in proc.stderr
+
+
+# a rank-4 divisor over the orthant with two vertices at each of three points
+RANK4_ORTHANT = {
+    "format": 1,
+    "lattice_rank": 4,
+    "tail_rays": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    "coefficients": [
+        {"point": "inf", "vertices": [["4/3", "2", "-4/5", "14/3"], ["23/6", "17/6", "-1/6", "4"]]},
+        {"point": "0", "vertices": [["-1", "3/2", "2", "-2"], ["-3/2", "-2", "0", "-4/5"]]},
+        {"point": "1", "vertices": [["2/3", "1", "5/3", "-3/2"], ["2", "3/2", "1", "-1"]]},
+    ],
+}
+
+
+def test_rank4_orthant_analysis_finishes():
+    """Every criterion of a rank-4 divisor runs to a verdict within 10 s."""
+
+    def expire(signum, frame):
+        raise TimeoutError("rank-4 analysis ran past 10 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        report = analyze(parse_document(RANK4_ORTHANT)["data"])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    res = result_map(report)
+    assert res["proper"]["status"] == "proper"
+    for criterion in ("proper", "rational", "isolated"):
+        assert "error" not in res[criterion], res[criterion]

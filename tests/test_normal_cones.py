@@ -1,0 +1,189 @@
+"""The normal-cone routines against an exact convex-hull oracle written here.
+
+The oracle decides target in conv(points) + cone(rays) by Caratheodory's
+theorem: (1, target) is then a nonnegative combination of linearly
+independent columns among (1, p) and (0, r), so it suffices to solve every
+independent square-or-tall subsystem exactly.  sympy's simplex (1.14) is no
+oracle here: on these small systems it returns points that violate the
+equality constraints it was given.
+"""
+import math
+from fractions import Fraction as F
+from itertools import combinations
+
+import pytest
+
+from polysing.pdiv import P1, Point, _ray_meets_polyhedron, is_proper, polyhedral_divisor
+from polysing.polyhedra import (
+    halfspaces,
+    make_cone,
+    minkowski_sum,
+    normal_rays,
+    polytope_vertices,
+    sigma_polyhedron,
+    support_value,
+)
+from polysing.singcheck import _ybox
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+GEOMETRY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+def _solve_independent(cols, rhs):
+    """The coefficients x with sum x_j cols_j = rhs, or None when the columns
+    are dependent or rhs is outside their span."""
+    rows = [[F(c[i]) for c in cols] + [F(rhs[i])] for i in range(len(rhs))]
+    m = len(cols)
+    for j in range(m):
+        pivot = next((i for i in range(j, len(rows)) if rows[i][j]), None)
+        if pivot is None:
+            return None
+        rows[j], rows[pivot] = rows[pivot], rows[j]
+        rows[j] = [x / rows[j][j] for x in rows[j]]
+        for i in range(len(rows)):
+            if i != j and rows[i][j]:
+                rows[i] = [a - rows[i][j] * b for a, b in zip(rows[i], rows[j])]
+    if any(row[-1] for row in rows[m:]):
+        return None
+    return [rows[j][-1] for j in range(m)]
+
+
+def _in_hull(target, points, rays):
+    cols = [(1, *p) for p in points] + [(0, *r) for r in rays]
+    rhs = (1, *target)
+    for size in range(1, len(rhs) + 1):
+        for sub in combinations(cols, size):
+            x = _solve_independent(sub, rhs)
+            if x is not None and all(c >= 0 for c in x):
+                return True
+    return False
+
+
+@st.composite
+def polyhedra_cases(draw, max_rank=4):
+    """A pointed tail of rank 1 to max_rank (every generator positive on
+    (1, ..., 1)) and distinct rational candidate vertices."""
+    n = draw(st.integers(1, max_rank))
+    gens = draw(st.lists(st.lists(st.integers(-2, 3), min_size=n, max_size=n), max_size=n + 1))
+    tail = make_cone([g for g in gens if sum(g) > 0], n)
+    vec = st.tuples(*[small_fracs] * n)
+    cands = draw(st.lists(vec, min_size=1, max_size=6 if n < 4 else 4, unique=True))
+    return tail, cands
+
+
+def test_hull_oracle_on_a_triangle():
+    tri = [(F(1, 2), F(-3)), (F(3, 2), F(3)), (F(3), F(-3))]
+    assert _in_hull((F(2), F(-1)), tri, [])
+    assert not _in_hull((F(0), F(0)), tri, [])
+    assert _in_hull((F(0), F(0)), tri, [(-1, 0)])
+    assert not _in_hull((F(0), F(0)), [], [(1, 0)])
+
+
+@GEOMETRY
+@given(polyhedra_cases())
+def test_sigma_polyhedron_keeps_the_hull_vertices(case):
+    tail, cands = case
+    expected = [v for v in cands if not _in_hull(v, [w for w in cands if w != v], tail.generators)]
+    assert sigma_polyhedron(cands, tail).vertices == tuple(sorted(expected))
+
+
+@GEOMETRY
+@given(polyhedra_cases(max_rank=3), st.data())
+def test_minkowski_sum_matches_pruned_sums(case, data):
+    """Vertices from the joint normal cones equal the true vertices among all
+    pairwise sums.  Rank 4 is left out: there the reference, pruning a dozen
+    sums of two polytopes, runs for minutes."""
+    tail, cands = case
+    n = tail.ambient_rank
+    others = data.draw(st.lists(st.tuples(*[small_fracs] * n), min_size=1, max_size=3, unique=True))
+    a, b = sigma_polyhedron(cands, tail), sigma_polyhedron(others, tail)
+    sums = [tuple(x + y for x, y in zip(v, w)) for v in a.vertices for w in b.vertices]
+    assert minkowski_sum(a, b) == sigma_polyhedron(sums, tail)
+
+
+@GEOMETRY
+@given(polyhedra_cases())
+def test_origin_membership_matches_hull(case):
+    """The origin test `is_proper` runs on the degree polyhedron."""
+    tail, cands = case
+    p = sigma_polyhedron(cands, tail)
+    zero = (0,) * tail.ambient_rank
+    inside = all(support_value(p, u)[0] <= 0 for u in normal_rays(p))
+    assert inside == _in_hull(zero, p.vertices, tail.generators)
+
+
+@GEOMETRY
+@given(polyhedra_cases(), st.data())
+def test_ray_meeting_matches_hull(case, data):
+    tail, cands = case
+    n = tail.ambient_rank
+    p = sigma_polyhedron(cands, tail)
+    ray = data.draw(st.tuples(*[st.integers(-2, 2)] * n).filter(any))
+    # t * ray lies in p for some t >= 0 iff the origin lies in p + cone(-ray)
+    expected = _in_hull((0,) * n, p.vertices, list(tail.generators) + [tuple(-x for x in ray)])
+    assert _ray_meets_polyhedron(ray, p, set(normal_rays(p))) == expected
+
+
+@pytest.mark.parametrize("into_tail", [False, True])
+@GEOMETRY
+@given(polyhedra_cases(), st.data())
+def test_is_proper_matches_hull_for_one_coefficient(into_tail, case, data):
+    """With one coefficient the degree polyhedron is that coefficient: proper
+    iff it lies in the tail cone and misses the origin.  Candidates moved into
+    the tail cone give both verdicts."""
+    tail, cands = case
+    if not tail.generators:
+        return
+    n = tail.ambient_rank
+    if into_tail:
+        weights = st.lists(
+            st.fractions(min_value=0, max_value=2, max_denominator=3),
+            min_size=len(tail.generators),
+            max_size=len(tail.generators),
+        )
+        cands = [
+            tuple(sum(c * g[i] for c, g in zip(data.draw(weights), tail.generators)) for i in range(n))
+            for _ in cands
+        ]
+    p = sigma_polyhedron(cands, tail)
+    d = polyhedral_divisor(P1, tail, {Point.coord(0): p})
+    zero = (0,) * n
+    in_tail = all(_in_hull(v, [zero], tail.generators) for v in p.vertices)
+    proper = in_tail and not _in_hull(zero, p.vertices, tail.generators)
+    assert (is_proper(d).status == "proper") == proper
+
+
+def _reference_ybox(image_gens, deg_y, bound, m_free):
+    """The transversal box by the V/H round trip: the cone of the images, its
+    half-spaces plus the degree bound, and the vertices of that polytope."""
+    cone_y = make_cone([g for g in image_gens if any(g)], m_free)
+    rows = [tuple(F(x) for x in h) for h in halfspaces(cone_y)]
+    rhs = [F(0)] * len(rows)
+    rows.append(tuple(-F(x) for x in deg_y))
+    rhs.append(F(-bound))
+    verts = polytope_vertices(rows, rhs, m_free)
+    return [
+        (math.ceil(min(v[j] for v in verts)), math.floor(max(v[j] for v in verts)))
+        for j in range(m_free)
+    ]
+
+
+@GEOMETRY
+@given(st.data())
+def test_ybox_matches_vertex_enumeration(data):
+    m = data.draw(st.integers(1, 3))
+    deg_y = data.draw(st.tuples(*[small_fracs] * m).filter(any))
+    vecs = st.lists(st.integers(-4, 4), min_size=m, max_size=m)
+    gens = data.draw(st.lists(vecs, min_size=1, max_size=5))
+    # a projected cell: the degree is positive on every nonzero image
+    gens = [g for g in gens if not any(g) or sum(a * b for a, b in zip(deg_y, g)) > 0]
+    if not any(any(g) for g in gens):
+        return
+    bound = data.draw(st.fractions(min_value=0, max_value=6, max_denominator=12))
+    assert _ybox(gens, deg_y, bound, m) == _reference_ybox(gens, deg_y, bound, m)
