@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from .errors import (
@@ -20,6 +19,7 @@ from .pdiv import (
     Point,
     PolyhedralDivisor,
     QDivisor,
+    _memoized,
     extremal_data,
     rank,
     require_proper,
@@ -107,7 +107,7 @@ class ClassGroup:
     smith: SmithForm
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def class_group(d: PolyhedralDivisor) -> ClassGroup:
     """Invariant factors of the divisor class group.
 
@@ -176,7 +176,7 @@ def _solve_canonical(
     return tuple(zip(data.points, sol.x[:s])), sol.x[s:], mu(sol.x)
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def gorenstein_solve(d: PolyhedralDivisor) -> GorensteinResult:
     """Solve for (a, u) with K_X = pi^*(sum a_i Z_i) + div(chi^u).
 
@@ -254,7 +254,7 @@ class Factoriality:
     shape: tuple[int, int]
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def factoriality_det(d: PolyhedralDivisor) -> Factoriality:
     """Square system with determinant +-1 characterizes a trivial class group."""
     data = _system_data(d)

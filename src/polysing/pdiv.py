@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import wraps
 from math import floor
 from typing import Iterable, Mapping, Sequence
 
@@ -136,14 +136,33 @@ def default_canonical(base: Curve) -> QDivisor:
     raise UnsupportedBase("no canonical representative on an abstract curve")
 
 
+def _memoized(fn):
+    """Store fn(obj, *args, **kwargs) in obj._memo, keyed on fn and the
+    arguments, so each result lives exactly as long as the object it describes."""
+
+    @wraps(fn)
+    def memoized(obj, *args, **kwargs):
+        key = (fn, args, tuple(sorted(kwargs.items())))
+        memo = obj._memo
+        if key not in memo:
+            memo[key] = fn(obj, *args, **kwargs)
+        return memo[key]
+
+    return memoized
+
+
 @dataclass(frozen=True)
 class PolyhedralDivisor:
-    """Finitely many sigma-polyhedron coefficients on a curve, one tail cone."""
+    """Finitely many sigma-polyhedron coefficients on a curve, one tail cone.
+
+    Analysis results are memoized in `_memo` and freed with the divisor.
+    """
 
     base: Curve
     tail: Cone
     coeffs: tuple[tuple[Point, SigmaPolyhedron], ...]
     canonical: QDivisor = field(default=ZERO_DIVISOR)
+    _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
 
 def polyhedral_divisor(
@@ -201,7 +220,7 @@ def floor_degree(div: QDivisor) -> tuple[Fraction, int]:
     return deg, int(fdeg)
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def deg_polyhedron(d: PolyhedralDivisor) -> SigmaPolyhedron:
     """Minkowski sum of all coefficients (projective base only)."""
     if not d.base.projective:
@@ -212,7 +231,7 @@ def deg_polyhedron(d: PolyhedralDivisor) -> SigmaPolyhedron:
     return total
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def quasifan(d: PolyhedralDivisor) -> QuasiFan:
     """Normal quasifan of the divisor, cells tagged by support-point selections."""
     sup = support(d)
@@ -228,7 +247,7 @@ class Properness:
         return self.status == "proper"
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def is_proper(d: PolyhedralDivisor) -> Properness:
     """Semi-ampleness plus bigness on the interior of the dual tail cone.
 
@@ -282,7 +301,6 @@ class ExtremalData:
     extremal_rays: tuple[tuple[int, ...], ...]
     non_extremal_rays: tuple[tuple[int, ...], ...]
     vertices: tuple[tuple[Point, tuple[Fraction, ...], int], ...]  # (point, vertex, mu)
-    deg: SigmaPolyhedron | None
 
 
 def _ray_meets_polyhedron(
@@ -306,7 +324,7 @@ def _ray_meets_polyhedron(
     return hi is None or lo <= hi
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def extremal_data(d: PolyhedralDivisor) -> ExtremalData:
     """Which tail rays survive on the contracted variety; every vertex does."""
     require_proper(d)
@@ -316,13 +334,13 @@ def extremal_data(d: PolyhedralDivisor) -> ExtremalData:
         for v in poly.vertices:
             verts.append((p, v, mu(v)))
     if not d.base.projective:
-        return ExtremalData(tuple(rays), (), tuple(verts), None)
+        return ExtremalData(tuple(rays), (), tuple(verts))
     degp = deg_polyhedron(d)
     normals = set(normal_rays(degp))
     ext, non_ext = [], []
     for r in rays:
         (non_ext if _ray_meets_polyhedron(r, degp, normals) else ext).append(r)
-    return ExtremalData(tuple(ext), tuple(non_ext), tuple(verts), degp)
+    return ExtremalData(tuple(ext), tuple(non_ext), tuple(verts))
 
 
 def higher_direct_dims(d: PolyhedralDivisor, u: Sequence[int]) -> tuple[int, int]:

@@ -31,6 +31,8 @@ from .ratlin import (
 )
 
 RANK_CAP = 4
+# the two cone kernels are pure in small values that recur across documents
+CONE_CACHE_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -70,19 +72,20 @@ def _check_rank(n: int) -> None:
         raise UnsupportedRank(f"ambient rank {n} exceeds the supported cap {RANK_CAP}")
 
 
-def _dd_halfspaces(constraints: Sequence[tuple[int, ...]], rank: int) -> tuple[tuple[int, ...], ...]:
+def _dd_halfspaces(
+    constraints: Sequence[tuple[int, ...]], rank: int, resume: tuple | None = None
+) -> tuple[tuple[int, ...], ...]:
     """Generators of {u : <a, u> >= 0 for all a} by double description.
 
     After each constraint the candidate set is pruned with the active-set rank
     test, which never discards a needed generator (it may keep redundant ones
-    when the cone has lineality).
+    when the cone has lineality).  `resume` = (rays, done) continues a sweep
+    that has processed the distinct primitive constraints `done` and holds
+    the candidates `rays`; by default the sweep starts from the whole space.
     """
-    rays: list[tuple[int, ...]] = []
-    for i in range(rank):
-        e = tuple(1 if j == i else 0 for j in range(rank))
-        rays.append(e)
-        rays.append(tuple(-x for x in e))
-    done: list[tuple[int, ...]] = []
+    if resume is None:
+        resume = ([tuple(s * (j == i) for j in range(rank)) for i in range(rank) for s in (1, -1)], ())
+    rays, done = list(resume[0]), list(resume[1])
     for a in constraints:
         a = primitive(a)
         if not any(a) or a in done:
@@ -116,7 +119,7 @@ def _dd_halfspaces(constraints: Sequence[tuple[int, ...]], rank: int) -> tuple[t
     return tuple(sorted(rays))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CONE_CACHE_SIZE)
 def halfspaces(c: Cone) -> tuple[tuple[int, ...], ...]:
     """Primitive normals h with c = {v : <h, v> >= 0 for all h} (not minimal)."""
     return _dd_halfspaces(c.generators, c.ambient_rank)
@@ -126,7 +129,7 @@ def cone_contains(c: Cone, v: Sequence) -> bool:
     return all(dot(h, v) >= 0 for h in halfspaces(c))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CONE_CACHE_SIZE)
 def minimal_generators(c: Cone) -> tuple[tuple[int, ...], ...]:
     """Greedy minimal generating subset (the extreme rays when c is pointed)."""
     gens = list(c.generators)
@@ -205,13 +208,16 @@ def _normal_cones(vertex_sets: Sequence[Sequence[tuple[Fraction, ...]]], tail: C
     selected vertex minimizes over its set.
 
     The tail constraints go first, so the sweep starts from the dual of the
-    tail, which is pointed for a full-dimensional tail.
+    tail, which is pointed for a full-dimensional tail.  That state is the
+    same for every selection: each sweep resumes from it (the tail's
+    generators are already distinct and primitive).
     """
+    start = (halfspaces(tail), tail.generators)
     for selection in product(*vertex_sets):
-        constraints = list(tail.generators)
+        constraints = []
         for vs, v in zip(vertex_sets, selection):
             constraints += [scale_to_int(vec_sub(w, v)) for w in vs if w != v]
-        yield selection, _dd_halfspaces(tuple(constraints), tail.ambient_rank)
+        yield selection, _dd_halfspaces(constraints, tail.ambient_rank, start)
 
 
 def _true_vertices(

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Sequence
@@ -23,6 +22,7 @@ from .pdiv import (
     Point,
     PolyhedralDivisor,
     QDivisor,
+    _memoized,
     evaluate,
     extremal_data,
     floor_degree,
@@ -127,7 +127,7 @@ def _chart_cone(poly: SigmaPolyhedron) -> Cone:
     return cayley_cone([(poly, (1,))])
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def check_smooth(d: PolyhedralDivisor) -> Verdict:
     """Smoothness of the associated variety.
 
@@ -176,7 +176,7 @@ def _cell_faces(c: Cone) -> set[tuple[tuple[int, ...], ...]]:
     return faces
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def check_isolated(d: PolyhedralDivisor) -> Verdict:
     """Isolatedness of the singular locus, by testing every facet of the divisor.
 
@@ -245,7 +245,7 @@ def _adapted_basis(f_gens: Sequence[tuple[int, ...]], n: int) -> tuple[list[tupl
     return list(sat) + [tuple(v_inv[i]) for i in range(k, n)], k
 
 
-@lru_cache(maxsize=None)
+@_memoized
 def check_rational(d: PolyhedralDivisor, budget: int = DEFAULT_BUDGET) -> Verdict:
     """Rationality of the singularities.
 

@@ -4,7 +4,7 @@ dimension comparison, and the classification of the isolated cases."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Sequence
@@ -15,6 +15,7 @@ from .pdiv import (
     P1,
     Point,
     PolyhedralDivisor,
+    _memoized,
     coefficient_at,
     higher_direct_dims,
     polyhedral_divisor,
@@ -27,9 +28,13 @@ from .singcheck import check_isolated
 
 @dataclass(frozen=True)
 class AdmissibleData:
-    """Entries (point, multiplicity tuple) with pairwise coprime tuple gcds."""
+    """Entries (point, multiplicity tuple) with pairwise coprime tuple gcds.
+
+    The constructed divisor is memoized in `_memo` and freed with the data.
+    """
 
     entries: tuple[tuple[Point, tuple[int, ...]], ...]
+    _memo: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     @property
     def extra_rank(self) -> int:
@@ -123,6 +128,7 @@ def _assemble(data: AdmissibleData, tweaks: dict) -> PolyhedralDivisor:
     return polyhedral_divisor(P1, tail, coeffs)
 
 
+@_memoized
 def construct_divisor(data: AdmissibleData) -> PolyhedralDivisor:
     """Polyhedral divisor with factorial section ring for the given data.
 

@@ -1,7 +1,9 @@
+import gc
 import json
 import signal
 import subprocess
 import sys
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -17,6 +19,7 @@ from polysing.cli import (
     parse_document,
 )
 from polysing.pdiv import Point
+from polysing.singcheck import check_rational
 
 
 def run_cli(args):
@@ -292,3 +295,27 @@ def test_rank4_orthant_analysis_finishes():
     assert res["proper"]["status"] == "proper"
     for criterion in ("proper", "rational", "isolated"):
         assert "error" not in res[criterion], res[criterion]
+
+
+def test_analysis_results_are_freed_with_the_divisor(data_dir):
+    """Results are memoized on the divisor, outside its equality, hash and
+    repr, so analysing a document keeps nothing alive after it is dropped."""
+    doc = json.loads((data_dir / "ex1.json").read_text())
+    # points no other test uses: no earlier analysis holds an equal divisor
+    for entry, point in zip(doc["coefficients"], ("7", "8", "inf")):
+        entry["point"] = point
+    d = parse_document(doc)["data"]
+    assert result_map(analyze(d))["rational"]["status"] == "yes"
+    fresh = parse_document(doc)["data"]
+    assert d == fresh and hash(d) == hash(fresh) and repr(d) == repr(fresh)
+    ref = weakref.ref(d)
+    del d
+    gc.collect()
+    assert ref() is None
+
+
+def test_memoized_results_are_keyed_on_the_arguments(data_dir):
+    d = load_document(data_dir / "ex1.json")["data"]
+    assert check_rational(d, budget=1).status == "inconclusive"
+    assert check_rational(d).status == "yes"
+    assert check_rational(d, budget=1).status == "inconclusive"

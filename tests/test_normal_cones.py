@@ -15,6 +15,7 @@ import pytest
 
 from polysing.pdiv import P1, Point, _ray_meets_polyhedron, is_proper, polyhedral_divisor
 from polysing.polyhedra import (
+    _dd_halfspaces,
     halfspaces,
     make_cone,
     minkowski_sum,
@@ -157,6 +158,22 @@ def test_is_proper_matches_hull_for_one_coefficient(into_tail, case, data):
     in_tail = all(_in_hull(v, [zero], tail.generators) for v in p.vertices)
     proper = in_tail and not _in_hull(zero, p.vertices, tail.generators)
     assert (is_proper(d).status == "proper") == proper
+
+
+@GEOMETRY
+@given(st.data())
+def test_resumed_sweep_matches_full_sweep(data):
+    """`_normal_cones` resumes every sweep after the tail constraints; that
+    state must be exactly the one the full sweep reaches.  Tails need not be
+    pointed or full-dimensional, and the rest repeats tail rays and zeros."""
+    n = data.draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(-2, 3)] * n)
+    tail = make_cone(data.draw(st.lists(vec, max_size=n + 2)), n)
+    rest = data.draw(st.lists(vec, max_size=6))
+    rest += [tuple(2 * x for x in g) for g in tail.generators[: data.draw(st.integers(0, 2))]]
+    rest = data.draw(st.permutations(rest))
+    full = _dd_halfspaces(list(tail.generators) + rest, n)
+    assert _dd_halfspaces(rest, n, (halfspaces(tail), tail.generators)) == full
 
 
 def _reference_ybox(image_gens, deg_y, bound, m_free):

@@ -1,9 +1,11 @@
 import ast
+import importlib.util
 from pathlib import Path
 
 import polysing
 
 SRC = Path(polysing.__file__).parent
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def test_no_assert_statements_in_package():
@@ -36,3 +38,41 @@ def test_double_description_is_referenced_only_in_polyhedra():
             if "_dd_halfspaces" in _referenced_names(node):
                 found.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
     assert not found, found
+
+
+def _unbounded_caches(tree):
+    """`functools.cache` and `lru_cache(maxsize=None)` nodes of a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            if any(alias.name == "cache" for alias in node.names):
+                yield node
+        elif isinstance(node, ast.Attribute) and node.attr == "cache":
+            if isinstance(node.value, ast.Name) and node.value.id == "functools":
+                yield node
+        elif isinstance(node, ast.Call) and "lru_cache" in _referenced_names(node.func):
+            size = node.args[0] if node.args else None
+            size = next((k.value for k in node.keywords if k.arg == "maxsize"), size)
+            if isinstance(size, ast.Constant) and size.value is None:
+                yield node
+
+
+def test_no_unbounded_caches_in_package():
+    """Analysis results live on the divisor or datum they describe; a global
+    cache without bound would keep every divisor of a batch run alive."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in _unbounded_caches(ast.parse(path.read_text(), str(path))):
+            found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
+
+
+def test_bench_trace_layers_resolve():
+    """Every function the benchmark's tracer wraps exists in its module."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for layer, names in tracing.LAYERS.items():
+        module = importlib.import_module(f"polysing.{layer}")
+        missing += [f"{layer}.{n}" for n in names if not callable(getattr(module, n, None))]
+    assert not missing, missing

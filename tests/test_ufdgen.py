@@ -33,6 +33,15 @@ def test_admissibility_validation():
         data_of((0,))
 
 
+def test_construct_divisor_is_built_once_per_datum():
+    data = data_of((1, 1), (2,), (3,))
+    d = construct_divisor(data)
+    assert construct_divisor(data) is d
+    # the memo lives on the datum: an equal datum builds its own divisor
+    again = construct_divisor(data_of((1, 1), (2,), (3,)))
+    assert again == d and again is not d
+
+
 def test_construct_e8_family():
     d = construct_divisor(data_of((2,), (3,), (5,)))
     assert is_proper(d).status == "proper"
