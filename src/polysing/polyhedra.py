@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import Iterable, Sequence
 
-from .errors import TailMismatch, UnboundedBelow, UnsupportedRank
+from .errors import DegenerateInput, TailMismatch, UnboundedBelow, UnsupportedRank
 from .ratlin import (
     Unique,
     determinant,
@@ -174,15 +174,31 @@ def _max_minor_gcd(rows: Sequence[tuple[int, ...]]) -> int:
 
 
 def is_regular(c: Cone) -> bool:
-    """Pointed, simplicial, and the primitive extreme rays extend to a lattice basis."""
-    if not c.generators:
+    """Pointed, simplicial, and the primitive extreme rays extend to a lattice basis.
+
+    That holds iff some rank-many independent generators contain every other
+    generator in their nonnegative span (they are then the extreme rays) and
+    their maximal minors are coprime.  The coordinates in such a basis are
+    read off by Cramer's rule from one nonzero maximal minor.
+    """
+    gens = c.generators
+    if not gens:
         return True
-    if not is_pointed(c):
-        return False
-    rays = minimal_generators(c)
-    if len(rays) != matrix_rank(rays):
-        return False
-    return _max_minor_gcd(rays) == 1
+    r = matrix_rank(gens)
+    for basis in combinations(gens, r):
+        for cols in combinations(range(c.ambient_rank), r):
+            minor = [[g[j] for j in cols] for g in basis]
+            det = determinant(minor)
+            if det:
+                break
+        else:
+            continue
+        others = [[h[j] for j in cols] for h in gens if h not in basis]
+        if all(
+            det * determinant(minor[:i] + [h] + minor[i + 1 :]) >= 0 for h in others for i in range(r)
+        ):
+            return _max_minor_gcd(basis) == 1
+    return False
 
 
 def face_of_cone(c: Cone, u: Sequence) -> Cone:
@@ -360,15 +376,59 @@ def polytope_vertices(rows: Sequence[Sequence], rhs: Sequence, dim: int) -> list
 
 
 def lattice_points(rows: Sequence[Sequence], rhs: Sequence, dim: int):
-    """Integer points of the bounded region {x : rows . x >= rhs}."""
-    verts = polytope_vertices(rows, rhs, dim)
-    if not verts:
+    """Integer points of the bounded region {x : rows . x >= rhs}, in
+    lexicographic order.
+
+    Integer Fourier-Motzkin elimination from the last coordinate to the first
+    leaves in `levels[k]` the rows that bound x_k once x_0..x_{k-1} are fixed;
+    each input row is applied exactly at the level of its last nonzero
+    coefficient, so a depth-first walk over those intervals yields exactly
+    the points of the region.  A coordinate without a lower or an upper bound
+    raises DegenerateInput.
+    """
+    stage = []
+    for i, (a, b) in enumerate(zip(rows, rhs, strict=True)):
+        den = mu([*a, b])
+        stage.append((tuple(int(x * den) for x in a), int(b * den), 1 << i))
+    levels = [None] * dim
+    for k in range(dim - 1, -1, -1):
+        lower = [c for c in stage if c[0][k] > 0]
+        upper = [c for c in stage if c[0][k] < 0]
+        levels[k] = (lower, upper)
+        stage = [(a[:k], b, src) for a, b, src in stage if not a[k]]
+        # Chernikov: after e eliminations a row combining more than e + 1
+        # input rows is implied by the others
+        most = dim - k + 1
+        for al, bl, sl in lower:
+            for au, bu, su in upper:
+                src = sl | su
+                if src.bit_count() > most:
+                    continue
+                p, q = al[k], -au[k]
+                a = [q * x + p * y for x, y in zip(al[:k], au[:k])]
+                b = q * bl + p * bu
+                g = math.gcd(*a)
+                if g:
+                    # rounding the rhs up keeps every integer point
+                    stage.append((tuple(x // g for x in a), -(-b // g), src))
+                elif b > 0:
+                    return
+    if any(b > 0 for _, b, _ in stage):
         return
-    ranges = []
-    for j in range(dim):
-        lo = math.ceil(min(v[j] for v in verts))
-        hi = math.floor(max(v[j] for v in verts))
-        ranges.append(range(lo, hi + 1))
-    for x in product(*ranges):
-        if all(dot(rows[i], x) >= rhs[i] for i in range(len(rows))):
-            yield x
+    for k, (lower, upper) in enumerate(levels):
+        if not lower or not upper:
+            raise DegenerateInput(f"the region is unbounded along coordinate {k}")
+    yield from _walk(levels, ())
+
+
+def _walk(levels, prefix: tuple[int, ...]):
+    k = len(prefix)
+    if k == len(levels):
+        yield prefix
+        return
+    lower, upper = levels[k]
+    # a x_k >= b - <a, prefix>: a ceiling for a > 0, a floor for a < 0
+    lo = max(-((sum(x * y for x, y in zip(a, prefix)) - b) // a[k]) for a, b, _ in lower)
+    hi = min((b - sum(x * y for x, y in zip(a, prefix))) // a[k] for a, b, _ in upper)
+    for v in range(lo, hi + 1):
+        yield from _walk(levels, prefix + (v,))

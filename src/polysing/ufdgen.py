@@ -301,9 +301,9 @@ def hilbert_compare(
         raise DegenerateInput("the weight vector must be positive on every generator degree")
     side_a = [0] * (d_max + 1)
     rows = [tuple(g) for g in d.tail.generators]
-    rhs = [Fraction(0)] * len(rows)
-    rows.append(tuple(Fraction(-x) for x in weight))
-    rhs.append(Fraction(-d_max))
+    rhs = [0] * len(rows)
+    rows.append(tuple(-x for x in weight))
+    rhs.append(-d_max)
     for u in lattice_points(rows, rhs, n):
         w = dot(weight, u)
         if 0 <= w <= d_max:

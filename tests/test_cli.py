@@ -297,6 +297,45 @@ def test_rank4_orthant_analysis_finishes():
         assert "error" not in res[criterion], res[criterion]
 
 
+TWO_DIM_TAIL = {
+    "format": 1,
+    "lattice_rank": 3,
+    "tail_rays": [[2, 0, 2], [2, 2, 0], [1, 1, 0]],
+    "coefficients": [
+        {"point": "inf", "vertices": [["275/6", "163/6", "56/3"], ["101/2", "161/6", "71/3"]]},
+        {"point": "0", "vertices": [["-7/6", "11/6", "-3"]]},
+        {"point": "1", "vertices": [["37/3", "28/3", "3"], ["-11", "-7", "-4"]]},
+        {"point": "2", "vertices": [["3", "1", "2"]]},
+    ],
+}
+
+
+def test_two_dimensional_tail_smoothness_finishes():
+    """The regularity test of a five-generator bicone in Z^4 needs no double
+    description; the whole analysis finishes within 10 s."""
+
+    def expire(signum, frame):
+        raise TimeoutError("rank-3 analysis ran past 10 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 10)
+    try:
+        report = analyze(parse_document(TWO_DIM_TAIL)["data"])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    smooth = result_map(report)["smooth"]
+    assert smooth["status"] == "no"
+    assert smooth["reason"] == "bicone is not regular"
+    assert smooth["witness"] == [
+        [-6, 275, 163, 112],
+        [-6, 303, 161, 142],
+        [0, 1, 0, 1],
+        [0, 1, 1, 0],
+        [6, -55, -25, -30],
+    ]
+
+
 def test_analysis_results_are_freed_with_the_divisor(data_dir):
     """Results are memoized on the divisor, outside its equality, hash and
     repr, so analysing a document keeps nothing alive after it is dropped."""

@@ -1,0 +1,143 @@
+"""The integer kernels against the Fraction definitions they replaced.
+
+`lattice_points` is checked against a box filter over the vertices of the
+region, `is_regular` against its definition through the double description:
+pointed, extreme rays independent, maximal minors coprime.
+"""
+import math
+import random
+import signal
+from fractions import Fraction as F
+from itertools import product
+
+import pytest
+
+from polysing.errors import DegenerateInput
+from polysing.polyhedra import (
+    _max_minor_gcd,
+    is_pointed,
+    is_regular,
+    lattice_points,
+    make_cone,
+    minimal_generators,
+    polytope_vertices,
+)
+from polysing.ratlin import dot, matrix_rank
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+KERNEL = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+fracs = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+
+
+def _box_filter(rows, rhs, dim):
+    """The integer points of the box around the vertices that satisfy every row."""
+    verts = polytope_vertices(rows, rhs, dim)
+    if not verts:
+        return []
+    ranges = [
+        range(math.ceil(min(v[j] for v in verts)), math.floor(max(v[j] for v in verts)) + 1)
+        for j in range(dim)
+    ]
+    return [x for x in product(*ranges) if all(dot(r, x) >= b for r, b in zip(rows, rhs))]
+
+
+@st.composite
+def bounded_regions(draw):
+    """A box scaled by positive fractions, cut by random and zero rows, shuffled."""
+    dim = draw(st.integers(1, 4))
+    rows, rhs = [], []
+    for j in range(dim):
+        for sign in (1, -1):
+            scale = draw(st.fractions(min_value=F(1, 3), max_value=3, max_denominator=3))
+            rows.append(tuple(sign * scale * (i == j) for i in range(dim)))
+            rhs.append(-scale * draw(st.integers(0, 3)))
+    for _ in range(draw(st.integers(0, 4))):
+        rows.append(tuple(draw(fracs) for _ in range(dim)))
+        rhs.append(draw(fracs))
+    for _ in range(draw(st.integers(0, 1))):
+        rows.append((F(0),) * dim)
+        rhs.append(draw(st.fractions(min_value=-2, max_value=1, max_denominator=2)))
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in order], [rhs[i] for i in order], dim
+
+
+@KERNEL
+@given(bounded_regions())
+def test_lattice_points_match_box_filter(region):
+    rows, rhs, dim = region
+    assert list(lattice_points(rows, rhs, dim)) == _box_filter(rows, rhs, dim)
+
+
+@KERNEL
+@given(st.data())
+def test_unbounded_region_raises(data):
+    """A region that holds the origin and a recession direction is refused."""
+    dim = data.draw(st.integers(1, 4))
+    direction = data.draw(st.tuples(*[st.integers(-2, 2)] * dim).filter(any))
+    drawn = data.draw(st.lists(st.tuples(*[fracs] * dim), max_size=8))
+    rows = [r for r in drawn if dot(r, direction) >= 0]
+    rhs = [-data.draw(st.fractions(min_value=0, max_value=6, max_denominator=4)) for _ in rows]
+    with pytest.raises(DegenerateInput):
+        next(lattice_points(rows, rhs, dim), None)
+
+
+def test_empty_and_point_regions():
+    assert list(lattice_points([(1, 0), (-1, 0)], [1, 0], 2)) == []
+    assert list(lattice_points([(2,), (-2,)], [1, -1], 1)) == []  # 1/2 <= x <= 1/2
+    assert list(lattice_points([(0, 0), (1, 0), (0, 1), (-1, -1)], [1, 0, 0, 0], 2)) == []
+    assert list(lattice_points([(1,), (-1,)], [F(3, 2), F(-5, 2)], 1)) == [(2,)]
+
+
+def test_many_rows_at_rank_four_finish():
+    """28 bounding rows at rank 4: without Chernikov's rule the combinations
+    compound past any useful time."""
+    rng = random.Random(5)
+    rows = [tuple(rng.randint(-5, 5) for _ in range(4)) for _ in range(28)]
+    rhs = [-rng.randint(5, 20) for _ in rows]
+
+    def expire(signum, frame):
+        raise TimeoutError("28-row lattice enumeration ran past 5 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 5)
+    try:
+        points = list(lattice_points(rows, rhs, 4))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (0, 0, 0, 0) in points
+    assert points == sorted(set(points))
+    assert all(dot(r, x) >= b for x in points for r, b in zip(rows, rhs))
+
+
+def _regular_by_description(c):
+    if not c.generators:
+        return True
+    if not is_pointed(c):
+        return False
+    rays = minimal_generators(c)
+    if len(rays) != matrix_rank(rays):
+        return False
+    return _max_minor_gcd(rays) == 1
+
+
+@KERNEL
+@given(st.data())
+def test_is_regular_matches_description(data):
+    n = data.draw(st.integers(1, 5))
+    # the description's double description compounds on dense rank-5 cones
+    bound, most = (2, n + 1) if n < 5 else (1, 3)
+    vec = st.tuples(*[st.integers(-bound, bound)] * n)
+    gens = data.draw(st.lists(vec, min_size=1, max_size=most))
+    # redundant generators inside the cone: sums of two drawn ones
+    pairs = st.tuples(st.sampled_from(gens), st.sampled_from(gens))
+    gens += [tuple(map(sum, zip(a, b))) for a, b in data.draw(st.lists(pairs, max_size=2))]
+    if not any(any(g) for g in gens):
+        return
+    c = make_cone(gens, n)
+    assert is_regular(c) == _regular_by_description(c)

@@ -1,5 +1,6 @@
 import ast
 import importlib.util
+import inspect
 from pathlib import Path
 
 import polysing
@@ -66,13 +67,30 @@ def test_no_unbounded_caches_in_package():
     assert not found, found
 
 
-def test_bench_trace_layers_resolve():
-    """Every function the benchmark's tracer wraps exists in its module."""
+def _bench_tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", BENCH / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_bench_trace_layers_resolve():
+    """Every function the benchmark's tracer wraps exists in its module."""
+    tracing = _bench_tracing()
     missing = []
     for layer, names in tracing.LAYERS.items():
         module = importlib.import_module(f"polysing.{layer}")
         missing += [f"{layer}.{n}" for n in names if not callable(getattr(module, n, None))]
     assert not missing, missing
+
+
+def test_bench_trace_generators_are_generator_functions():
+    """The tracer charges each resumption of these functions as a span of its
+    own, which is only right for generator functions."""
+    wrong = []
+    for qualname in sorted(_bench_tracing().GENERATORS):
+        layer, name = qualname.split(".")
+        fn = getattr(importlib.import_module(f"polysing.{layer}"), name, None)
+        if not inspect.isgeneratorfunction(fn):
+            wrong.append(qualname)
+    assert not wrong, wrong
