@@ -58,8 +58,13 @@ def _int(value, where) -> int:
     return int(x)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer; true and false are not numbers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _lattice_rank(value, where) -> int:
-    if not isinstance(value, int) or value < 1:
+    if not _is_int(value) or value < 1:
         raise ParseError("lattice_rank must be a positive integer", where)
     if value > polyhedra.RANK_CAP:
         raise ParseError(f"lattice_rank {value} exceeds the supported cap {polyhedra.RANK_CAP}", where)
@@ -113,7 +118,7 @@ def _parse_base(doc, where) -> Curve:
         return A1
     if kind == "abstract":
         genus = base.get("genus")
-        if not isinstance(genus, int) or genus < 1:
+        if not _is_int(genus) or genus < 1:
             raise ParseError("abstract base needs an integer genus >= 1", where)
         return Curve(pdiv.ABSTRACT, genus)
     raise ParseError(f"unknown base kind {kind!r}", where)
@@ -170,7 +175,7 @@ def _parse_admissible(doc, where) -> ufdgen.AdmissibleData:
     for i, e in enumerate(entries):
         loc = f"{where}: entry #{i + 1}"
         mu = e.get("mu")
-        if not isinstance(mu, list) or not all(isinstance(m, int) for m in mu):
+        if not isinstance(mu, list) or not all(_is_int(m) for m in mu):
             raise ParseError("mu must be a list of integers", loc)
         p = _point(e["point"], base, loc) if have_points else defaults[i]
         parsed.append((p, tuple(mu)))
@@ -253,14 +258,14 @@ def analyze(d: pdiv.PolyhedralDivisor, only=None, budget=singcheck.DEFAULT_BUDGE
     report = {"format": FORMAT_VERSION, "results": [], "exit": EXIT_OK}
 
     def add(criterion, payload, t0):
-        entry = {"criterion": criterion, "ms": int((time.time() - t0) * 1000)}
+        entry = {"criterion": criterion, "ms": int((time.perf_counter() - t0) * 1000)}
         entry.update(payload)
         report["results"].append(entry)
 
     def run(criterion, thunk):
         if criterion not in selected:
             return None
-        t0 = time.time()
+        t0 = time.perf_counter()
         try:
             payload = thunk()
         except PolysingError as exc:
@@ -268,7 +273,7 @@ def analyze(d: pdiv.PolyhedralDivisor, only=None, budget=singcheck.DEFAULT_BUDGE
         add(criterion, payload, t0)
         return payload
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     proper = pdiv.is_proper(d)
     payload = {"status": proper.status}
     if proper.witness is not None:
@@ -381,7 +386,7 @@ def analyze(d: pdiv.PolyhedralDivisor, only=None, budget=singcheck.DEFAULT_BUDGE
 def analyze_numerical(block: dict) -> dict:
     """Gorenstein system in user-supplied-numerical-class mode: principality of
     the base divisor class is reported symbolically, not decided."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     res = divclass.gorenstein_solve_numerical(
         block["classes"],
         block["b"],
@@ -400,7 +405,7 @@ def analyze_numerical(block: dict) -> dict:
             "principality_checked": res.principality_checked,
         }
     payload["criterion"] = "gorenstein"
-    payload["ms"] = int((time.time() - t0) * 1000)
+    payload["ms"] = int((time.perf_counter() - t0) * 1000)
     return {"format": FORMAT_VERSION, "results": [payload], "exit": EXIT_OK}
 
 
@@ -538,11 +543,24 @@ def _dispatch(args) -> int:
         return worst
 
     doc = load_document(args.path)
+    try:
+        out = _command_report(args, doc)
+    except (InternalCheck, ParseError):
+        raise
+    except PolysingError as exc:
+        # the document parsed, but the command cannot run on it
+        print(f"{args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_PARSE_ERROR
+    _emit(args, out)
+    return EXIT_OK
+
+
+def _command_report(args, doc: dict) -> dict:
     if args.command == "construct":
         data = _require_kind(doc, "admissible", args.path)
         d = ufdgen.construct_divisor(data)
         fact = divclass.factoriality_det(d)
-        out = {
+        return {
             "format": FORMAT_VERSION,
             "lattice_rank": pdiv.rank(d),
             "tail_rays": [list(r) for r in d.tail.generators],
@@ -552,39 +570,31 @@ def _dispatch(args) -> int:
             ],
             "determinant": fact.det,
         }
-        _emit(args, out)
-        return EXIT_OK
     if args.command == "present":
         data = _require_kind(doc, "admissible", args.path)
         pres = ufdgen.presentation(data)
-        out = {
+        return {
             "format": FORMAT_VERSION,
             "variables": list(pres.variables),
             "degrees": [list(u) for u in pres.degrees],
             "relations": list(pres.relations),
             "dimension": pres.dimension,
         }
-        _emit(args, out)
-        return EXIT_OK
     if args.command == "hilbert":
         data = _require_kind(doc, "admissible", args.path)
         d = ufdgen.construct_divisor(data)
         pres = ufdgen.presentation(data, d)
         weight = _interior_weight(d)
         cmp = ufdgen.hilbert_compare_presentation(d, pres, weight, args.dmax)
-        out = {
+        return {
             "format": FORMAT_VERSION,
             "weight": list(weight),
             "match": cmp.match,
             "first_mismatch": cmp.first_mismatch,
             "dims": list(cmp.dims),
         }
-        _emit(args, out)
-        return EXIT_OK
     if args.command == "charts":
-        d = _require_kind(doc, "divisor", args.path)
-        _emit(args, charts_report(d))
-        return EXIT_OK
+        return charts_report(_require_kind(doc, "divisor", args.path))
     raise InternalCheck(f"unhandled command {args.command}")
 
 

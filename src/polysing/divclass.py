@@ -34,7 +34,7 @@ from .ratlin import (
     determinant,
     mu,
     smith_normal_form,
-    solve_exact,
+    smith_solve,
 )
 
 
@@ -53,7 +53,7 @@ class SystemData:
     n: int  # lattice rank
 
 
-def _system_data(d: PolyhedralDivisor, extra_points: tuple[Point, ...] = ()) -> SystemData:
+def _system_data(d: PolyhedralDivisor, extra_points: tuple[Point, ...]) -> SystemData:
     require_proper(d)
     if d.base.kind not in (PROJECTIVE_LINE, AFFINE_LINE):
         raise UnsupportedBase("class-group computations need P^1 or the affine line")
@@ -97,6 +97,21 @@ def _class_rows(d: PolyhedralDivisor, data: SystemData) -> list[list[int]]:
     return [[1] * len(data.points)] if d.base.projective else []
 
 
+@_memoized
+def _class_system(d: PolyhedralDivisor, extra_points: tuple[Point, ...]) -> tuple[SystemData, list]:
+    """The layout and the divisor-class matrix of d, with extra_points added
+    as points outside the support; every reader of the system shares it."""
+    data = _system_data(d, extra_points)
+    return data, _monster_rows(data, _class_rows(d, data))
+
+
+@_memoized
+def _class_smith(d: PolyhedralDivisor, extra_points: tuple[Point, ...]) -> SmithForm:
+    """Smith form of the divisor-class matrix; the class group reads its
+    diagonal, the canonical class and generator degrees back-substitute."""
+    return smith_normal_form(_class_system(d, extra_points)[1])
+
+
 @dataclass(frozen=True)
 class ClassGroup:
     """Invariant factors of Cl(X); smith decomposes the divisor-class system."""
@@ -119,9 +134,8 @@ def class_group(d: PolyhedralDivisor) -> ClassGroup:
     system gives the group, with one generator per row.  Points outside the
     support are pre-eliminated.
     """
-    data = _system_data(d)
-    rows = _monster_rows(data, _class_rows(d, data))
-    sf = smith_normal_form(rows)
+    data, rows = _class_system(d, ())
+    sf = _class_smith(d, ())
     diag = [x for x in sf.diagonal if x != 0]
     torsion = tuple(x for x in diag if x > 1)
     free = len(rows) - len(diag)
@@ -156,18 +170,18 @@ GorensteinResult = GorensteinSolution | NotQGorenstein
 
 
 def _solve_canonical(
-    data: SystemData, class_rows: Sequence[Sequence[int]]
+    data: SystemData, smith: SmithForm
 ) -> tuple[tuple[tuple[Point, Fraction], ...], tuple[Fraction, ...], int] | NotQGorenstein:
-    """Solve the divisor-class system for K_X: right-hand side 0 on the class
-    rows, mu_v*b_i + mu_v - 1 per vertex and -1 per extremal ray.
+    """Solve the divisor-class system for K_X over its Smith form: right-hand
+    side 0 on the class rows, mu_v*b_i + mu_v - 1 per vertex and -1 per
+    extremal ray.
 
     Returns (a, u, index) with the index the lcm of all denominators.
     """
-    rows = _monster_rows(data, class_rows)
-    rhs = [Fraction(0)] * len(class_rows)
+    rhs = [Fraction(0)] * (len(smith.left) - len(data.vertices) - len(data.extremal_rays))
     rhs += [m * data.b[i] + m - 1 for i, _, m in data.vertices]
     rhs += [Fraction(-1)] * len(data.extremal_rays)
-    sol = solve_exact(rows, rhs)
+    sol = smith_solve(smith, rhs)
     if isinstance(sol, Inconsistent):
         return NotQGorenstein("canonical-class system is inconsistent")
     if isinstance(sol, Underdetermined):
@@ -189,8 +203,8 @@ def gorenstein_solve(d: PolyhedralDivisor) -> GorensteinResult:
         raise UnsupportedBase("the canonical-class system needs P^1 or the affine line")
     if cone_dim(d.tail) != rank(d):
         raise UnsupportedShape("the canonical-class system needs a full-dimensional tail cone")
-    data = _system_data(d)
-    res = _solve_canonical(data, _class_rows(d, data))
+    data, _ = _class_system(d, ())
+    res = _solve_canonical(data, _class_smith(d, ()))
     if isinstance(res, NotQGorenstein):
         return res
     result = GorensteinSolution(*res)
@@ -241,7 +255,8 @@ def gorenstein_solve_numerical(
         tuple(tuple(int(x) for x in ray) for ray in extremal_rays),
         lattice_rank,
     )
-    res = _solve_canonical(data, list(zip(*classes, strict=True)))
+    rows = _monster_rows(data, list(zip(*classes, strict=True)))
+    res = _solve_canonical(data, smith_normal_form(rows))
     if isinstance(res, NotQGorenstein):
         return res
     return GorensteinSolution(*res, principality_checked=False)
@@ -257,8 +272,7 @@ class Factoriality:
 @_memoized
 def factoriality_det(d: PolyhedralDivisor) -> Factoriality:
     """Square system with determinant +-1 characterizes a trivial class group."""
-    data = _system_data(d)
-    rows = _monster_rows(data, _class_rows(d, data))
+    data, rows = _class_system(d, ())
     m = len(rows)
     n_cols = len(data.points) + data.n
     if m != n_cols:
@@ -279,30 +293,22 @@ def generator_degrees(d: PolyhedralDivisor, target) -> tuple[tuple[int, ...], QD
     cg = class_group(d)
     if cg.torsion or cg.free_rank:
         raise NoGlobalEquation("nontrivial class group: no global equation for one prime divisor")
+    on_point = isinstance(target, tuple) and len(target) == 2 and isinstance(target[0], Point)
     extra: tuple[Point, ...] = ()
-    if isinstance(target, tuple) and len(target) == 2 and isinstance(target[0], Point):
+    if on_point and target[0] not in _class_system(d, ())[0].points:
         extra = (target[0],)
-    data = _system_data(d, extra)
-    rows = _monster_rows(data, _class_rows(d, data))
-    rhs: list[Fraction] = [Fraction(0)]
-    if isinstance(target, tuple) and len(target) == 2 and isinstance(target[0], Point):
-        tp, tv = target[0], tuple(Fraction(x) for x in target[1])
-        for i, v, m in data.vertices:
-            rhs.append(Fraction(1) if (data.points[i], v) == (tp, tv) else Fraction(0))
-        if not any(rhs):
-            raise ValueError("target vertex not found")
-        rhs.extend(Fraction(0) for _ in data.extremal_rays)
+    data, _ = _class_system(d, extra)
+    if on_point:
+        tv = tuple(Fraction(x) for x in target[1])
+        hits = [(data.points[i], v) == (target[0], tv) for i, v, _ in data.vertices]
+        hits += [False] * len(data.extremal_rays)
     else:
         ray = tuple(int(x) for x in target)
-        for _ in data.vertices:
-            rhs.append(Fraction(0))
-        found = False
-        for r in data.extremal_rays:
-            rhs.append(Fraction(1) if r == ray else Fraction(0))
-            found = found or r == ray
-        if not found:
-            raise ValueError("target ray is not an extremal ray")
-    sol = solve_exact(rows, rhs)
+        hits = [False] * len(data.vertices) + [r == ray for r in data.extremal_rays]
+    if not any(hits):
+        raise ValueError("target vertex not found" if on_point else "target ray is not an extremal ray")
+    rhs = [0] + [int(h) for h in hits]
+    sol = smith_solve(_class_smith(d, extra), rhs)
     if not isinstance(sol, Unique):
         raise InternalCheck("trivial class group guarantees a unique solution")
     s = len(data.points)

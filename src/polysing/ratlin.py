@@ -283,56 +283,44 @@ class Underdetermined:
 Solution = Unique | Inconsistent | Underdetermined
 
 
-def solve_exact(a: Matrix, b: Sequence) -> Solution:
-    """Classify and solve A x = b exactly over the rationals."""
-    m, n = _dims(a)
-    if len(b) != m:
-        raise ShapeError("right-hand side length mismatch")
-    r = [[Fraction(x) for x in row] for row in a]
-    e = [[Fraction(1) if i == j else Fraction(0) for j in range(m)] for i in range(m)]
-    rhs = [Fraction(x) for x in b]
+def smith_solve(sf: SmithForm, b: Sequence) -> Solution:
+    """Classify and solve A x = b by back-substitution over U A V = D.
 
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(n):
-        piv = next((i for i in range(row, m) if r[i][col] != 0), None)
-        if piv is None:
-            continue
-        r[row], r[piv] = r[piv], r[row]
-        e[row], e[piv] = e[piv], e[row]
-        rhs[row], rhs[piv] = rhs[piv], rhs[row]
-        inv = 1 / r[row][col]
-        r[row] = [x * inv for x in r[row]]
-        e[row] = [x * inv for x in e[row]]
-        rhs[row] *= inv
-        for i in range(m):
-            if i != row and r[i][col] != 0:
-                f = r[i][col]
-                r[i] = [x - f * y for x, y in zip(r[i], r[row])]
-                e[i] = [x - f * y for x, y in zip(e[i], e[row])]
-                rhs[i] -= f * rhs[row]
-        pivots.append((row, col))
-        row += 1
-        if row == m:
-            break
-    for i in range(row, m):
-        if rhs[i] != 0:
-            return Inconsistent(tuple(e[i]))
-    pivot_cols = {c for _, c in pivots}
-    x = [Fraction(0)] * n
-    for rr, cc in pivots:
-        x[cc] = rhs[rr]
-    free = [c for c in range(n) if c not in pivot_cols]
-    if not free:
-        return Unique(tuple(x))
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * n
-        vec[f] = Fraction(1)
-        for rr, cc in pivots:
-            vec[cc] = -r[rr][f]
-        basis.append(tuple(vec))
-    return Underdetermined(tuple(x), tuple(basis))
+    With y = V^-1 x the system reads D y = U b: each nonzero d_i fixes
+    y_i = (U b)_i / d_i over one common denominator, a nonzero (U b)_i past
+    the rank makes it inconsistent with row i of U as certificate, and V's
+    trailing columns span the kernel.
+    """
+    if len(b) != len(sf.left):
+        raise ShapeError("right-hand side length mismatch")
+    ub = [dot(row, b) for row in sf.left]
+    r = sum(1 for x in sf.diagonal if x != 0)
+    for i in range(r, len(ub)):
+        if ub[i] != 0:
+            return Inconsistent(tuple(Fraction(x) for x in sf.left[i]))
+    den = math.lcm(*sf.diagonal[:r])
+    y = [ub[i] * (den // sf.diagonal[i]) for i in range(r)]  # den * y
+    x = tuple(Fraction(dot(row[:r], y)) / den for row in sf.right)
+    if r == len(sf.right):
+        return Unique(x)
+    kernel = tuple(tuple(Fraction(row[k]) for row in sf.right) for k in range(r, len(sf.right)))
+    return Underdetermined(x, kernel)
+
+
+def solve_exact(a: Matrix, b: Sequence) -> Solution:
+    """Classify and solve A x = b exactly over the rationals.
+
+    Each row is scaled to integers and the scaled system is solved over its
+    Smith form; the certificate is scaled back to satisfy y A = 0.
+    """
+    if len(b) != len(a):
+        raise ShapeError("right-hand side length mismatch")
+    scales = [mu(row) for row in a]
+    rows = [[int(x * s) for x in row] for row, s in zip(a, scales)]
+    sol = smith_solve(smith_normal_form(rows), [Fraction(x) * s for x, s in zip(b, scales)])
+    if isinstance(sol, Inconsistent):
+        return Inconsistent(tuple(y * s for y, s in zip(sol.certificate, scales)))
+    return sol
 
 
 def matrix_rank(a: Matrix) -> int:

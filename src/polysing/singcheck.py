@@ -49,7 +49,6 @@ from .polyhedra import (
     translate,
 )
 from .ratlin import (
-    Unique,
     dot,
     invert_unimodular,
     matrix_rank,
@@ -57,7 +56,6 @@ from .ratlin import (
     saturated_basis,
     scale_to_int,
     smith_normal_form,
-    solve_exact,
     vec_add,
 )
 
@@ -294,7 +292,9 @@ def _scan_cell(d: PolyhedralDivisor, cell, budget: int):
         raise InternalCheck("properness bounds the degree below")
     basis, k = _adapted_basis(f_gens, n)
     m_free = n - k
-    coords = {g: _coords_of(g, basis) for g in gens}
+    # the coordinates c with c . basis = g are g . basis^-1
+    inv_cols = list(zip(*invert_unimodular(basis)))
+    coords = {g: tuple(dot(g, col) for col in inv_cols) for g in gens}
 
     def to_u(c: Sequence[int]) -> tuple[int, ...]:
         return tuple(sum(c[i] * basis[i][j] for i in range(n)) for j in range(n))
@@ -361,16 +361,6 @@ def _scan_cell(d: PolyhedralDivisor, cell, budget: int):
             if val < worst_val:
                 worst_u, worst_val = u, val
     return ("ok", worst_u, worst_val)
-
-
-def _coords_of(vec: Sequence[int], basis: list[tuple[int, ...]]) -> tuple[int, ...]:
-    cols = [[basis[i][j] for i in range(len(basis))] for j in range(len(vec))]
-    res = solve_exact(cols, list(vec))
-    if not isinstance(res, Unique):
-        raise InternalCheck("a lattice basis gives unique coordinates")
-    if any(x.denominator != 1 for x in res.x):
-        raise InternalCheck("coordinates in a lattice basis are integral")
-    return tuple(int(x) for x in res.x)
 
 
 def _ybox(image_gens, deg_y, bound, m_free):

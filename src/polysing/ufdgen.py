@@ -288,9 +288,11 @@ def hilbert_compare(
 
     Side A sums cohomology dimensions over the lattice degrees of each weight;
     side B counts monomials avoiding every relation's leading monomial, which
-    is exact because the leading monomials live in disjoint variable groups
-    (inclusion-exclusion over subsets).
+    is exact because the leading monomials live in disjoint variable groups:
+    the monomial series times prod(1 - t^lead weight), truncated at d_max.
     """
+    if d_max < 0:
+        raise DegenerateInput("the degree bound d_max must be nonnegative")
     n = rank(d)
     if cone_dim(d.tail) != n:
         raise DegenerateInput("graded comparison needs a full-dimensional tail cone")
@@ -309,25 +311,14 @@ def hilbert_compare(
         if 0 <= w <= d_max:
             h0, _ = higher_direct_dims(d, u)
             side_a[w] += h0
-    counts = [0] * (d_max + 1)
-    counts[0] = 1
+    side_b = [1] + [0] * d_max
     for w in w_vars:
         for deg in range(w, d_max + 1):
-            counts[deg] += counts[deg - w]
-    lead_weights = [sum(e * w for e, w in zip(lead, w_vars)) for lead in leads]
-    side_b = []
-    for deg in range(d_max + 1):
-        total = 0
-        for mask in range(1 << len(lead_weights)):
-            off = deg
-            sign = 1
-            for i, lw in enumerate(lead_weights):
-                if mask >> i & 1:
-                    off -= lw
-                    sign = -sign
-            if off >= 0:
-                total += sign * counts[off]
-        side_b.append(total)
+            side_b[deg] += side_b[deg - w]
+    for lead in leads:
+        lw = sum(e * w for e, w in zip(lead, w_vars))
+        for deg in range(d_max, lw - 1, -1):
+            side_b[deg] -= side_b[deg - lw]
     for deg in range(d_max + 1):
         if side_a[deg] != side_b[deg]:
             return HilbertComparison(False, deg, tuple(side_a))

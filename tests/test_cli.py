@@ -8,6 +8,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from polysing import ufdgen
 from polysing.cli import (
     EXIT_NOT_PROPER,
     EXIT_PARSE_ERROR,
@@ -16,8 +17,10 @@ from polysing.cli import (
     canonical_dumps,
     charts_report,
     load_document,
+    main,
     parse_document,
 )
+from polysing.errors import InternalCheck
 from polysing.pdiv import Point
 from polysing.singcheck import check_rational
 
@@ -217,6 +220,7 @@ def test_cli_batch_mixed_directory(data_dir):
         ("canonical_divisor", 7),
         ("base", "P1"),
         ("lattice_rank", 5),
+        ("lattice_rank", True),
     ],
 )
 def test_cli_malformed_document_exit(tmp_path, field, value):
@@ -254,6 +258,17 @@ def _numerical_doc(**changes):
         (_numerical_doc(extremal_rays=[["1/2"]]), "extremal_rays"),
         (_numerical_doc(lattice_rank=5), "cap 4"),
         ({"format": 1, "lattice_rank": 5, "tail_rays": [], "coefficients": []}, "cap 4"),
+        ({"format": 1, "entries": [{"mu": [True]}, {"mu": [2]}, {"mu": [3]}]}, "mu"),
+        (
+            {
+                "format": 1,
+                "base": {"kind": "abstract", "genus": True},
+                "lattice_rank": 1,
+                "tail_rays": [[1]],
+                "coefficients": [{"point": "p", "vertices": [["1/2"]]}],
+            },
+            "genus",
+        ),
     ],
 )
 def test_cli_malformed_data_exit(tmp_path, doc, needle):
@@ -263,6 +278,41 @@ def test_cli_malformed_data_exit(tmp_path, doc, needle):
     assert proc.returncode == EXIT_PARSE_ERROR
     assert "Traceback" not in proc.stderr
     assert needle in proc.stderr
+
+
+ONE_ENTRY = {"format": 1, "entries": [{"point": "inf", "mu": [2]}]}
+
+
+@pytest.mark.parametrize(
+    "command, doc, extra",
+    [
+        ("present", ONE_ENTRY, []),
+        ("hilbert", ONE_ENTRY, []),
+        ("hilbert", "admissible_e8.json", ["--dmax", "-1"]),
+    ],
+)
+def test_cli_command_input_error_exit(tmp_path, data_dir, command, doc, extra):
+    """A document that parses but that the command cannot run on exits 3."""
+    if isinstance(doc, str):
+        path = data_dir / doc
+    else:
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+    proc = run_cli([command, str(path), *extra])
+    assert proc.returncode == EXIT_PARSE_ERROR
+    assert "Traceback" not in proc.stderr
+    assert "DegenerateInput" in proc.stderr
+
+
+def test_cli_internal_check_is_not_an_input_error(monkeypatch, data_dir):
+    """A failed invariant is a bug: the command does not turn it into exit 3."""
+
+    def broken(*args, **kwargs):
+        raise InternalCheck("broken invariant")
+
+    monkeypatch.setattr(ufdgen, "presentation", broken)
+    with pytest.raises(InternalCheck):
+        main(["present", str(data_dir / "admissible_e8.json")])
 
 
 # a rank-4 divisor over the orthant with two vertices at each of three points

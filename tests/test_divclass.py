@@ -2,6 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 
+from polysing import divclass
+from polysing.cli import analyze, load_document
 from polysing.divclass import (
     NotQGorenstein,
     class_group,
@@ -11,8 +13,9 @@ from polysing.divclass import (
     gorenstein_solve_numerical,
 )
 from polysing.errors import NoGlobalEquation, UnsupportedShape
-from polysing.pdiv import P1, Point, QDivisor, polyhedral_divisor
+from polysing.pdiv import P1, Point, QDivisor, polyhedral_divisor, rank
 from polysing.polyhedra import make_cone, sigma_polyhedron
+from polysing.ufdgen import construct_divisor, presentation
 
 
 def test_class_group_examples(a2, e8, ex1):
@@ -199,3 +202,33 @@ def test_principality_tests(ex1, rk1):
     ray = make_cone([(1,)], 1)
     aff = polyhedral_divisor(A1, ray, {Point.coord(0): sigma_polyhedron([(F(1, 2),)], ray)})
     assert principal_on_base(aff, QDivisor.of([(Point.coord(0), F(3))]))  # any integral sum
+
+
+def test_class_system_is_built_once_per_divisor_and_extra_points(monkeypatch, data_dir):
+    """Class group, factoriality, the canonical class and every generator
+    degree read one memoized system per (divisor, extra points)."""
+    cases = []
+    for name in ("admissible_e8.json", "admissible_fourfold.json"):
+        data = load_document(data_dir / name)["data"]
+        d = construct_divisor(data)
+        # a fresh divisor, so that nothing is memoized on it yet
+        cases.append((data, polyhedral_divisor(d.base, d.tail, dict(d.coeffs), d.canonical)))
+    built = []
+    monster_rows = divclass._monster_rows
+
+    def spy(data, class_rows):
+        built.append(data)
+        return monster_rows(data, class_rows)
+
+    monkeypatch.setattr(divclass, "_monster_rows", spy)
+    outside = Point.coord(F(99))
+    for data, d in cases:
+        built.clear()
+        analyze(d)
+        presentation(data, d)
+        presentation(data, d)
+        for _ in range(2):
+            _, fdiv = generator_degrees(d, (outside, (F(0),) * rank(d)))
+            assert fdiv.coefficient(outside) == 1
+        assert len(built) == 2
+        assert outside not in built[0].points and outside in built[1].points

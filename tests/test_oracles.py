@@ -13,7 +13,16 @@ from polysing.divclass import class_group
 from polysing.errors import DegenerateInput, ShapeError
 from polysing.pdiv import A1, P1, Point, extremal_data, is_proper, polyhedral_divisor, support
 from polysing.polyhedra import make_cone, sigma_polyhedron
-from polysing.ratlin import determinant, invert_unimodular, matrix_rank, mu, smith_normal_form
+from polysing.ratlin import (
+    Inconsistent,
+    Unique,
+    determinant,
+    invert_unimodular,
+    matrix_rank,
+    mu,
+    smith_normal_form,
+    solve_exact,
+)
 from polysing.ufdgen import admissible_data, construct_divisor, default_points
 
 sympy = pytest.importorskip("sympy")
@@ -103,6 +112,59 @@ def test_invert_unimodular_rejects_other_determinants(a):
 def test_invert_unimodular_rejects_nonsquare():
     with pytest.raises(ShapeError):
         invert_unimodular([[1, 0, 0], [0, 1, 0]])
+
+
+fractions = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+@st.composite
+def linear_systems(draw):
+    """A x = b with Fraction entries up to 5x5; rows may be combinations of
+    earlier rows, and b is either A x0 (consistent) or drawn freely."""
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 5))
+    a = [draw(st.lists(fractions, min_size=n, max_size=n)) for _ in range(m)]
+    for i in range(1, m):
+        if draw(st.booleans()):
+            j, k = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            c, e = draw(fractions), draw(fractions)
+            a[i] = [c * x + e * y for x, y in zip(a[j], a[k])]
+    if draw(st.booleans()):
+        x0 = draw(st.lists(fractions, min_size=n, max_size=n))
+        b = [sum(x * y for x, y in zip(row, x0)) for row in a]
+    else:
+        b = draw(st.lists(fractions, min_size=m, max_size=m))
+    return a, b
+
+
+def _sympy_rational(a):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in a])
+
+
+@ORACLE
+@given(linear_systems())
+def test_solve_exact_matches_sympy(system):
+    a, b = system
+    n = len(a[0])
+    sa, sb = _sympy_rational(a), _sympy_rational([[x] for x in b])
+    rank = sa.rank()
+    res = solve_exact(a, b)
+    if sa.row_join(sb).rank() > rank:
+        assert isinstance(res, Inconsistent)
+        y = res.certificate
+        assert all(sum(yi * row[j] for yi, row in zip(y, a)) == 0 for j in range(n))
+        assert sum(yi * bi for yi, bi in zip(y, b)) != 0
+        return
+    if rank == n:
+        assert isinstance(res, Unique)
+        sol, _ = sa.gauss_jordan_solve(sb)
+        assert [sympy.Rational(x.numerator, x.denominator) for x in res.x] == list(sol)
+        return
+    assert n - len(res.nullspace) == rank
+    assert _sympy_rational(res.nullspace).rank() == n - rank
+    for row, rhs in zip(a, b):
+        assert sum(x * v for x, v in zip(row, res.particular)) == rhs
+        assert all(sum(x * v for x, v in zip(row, vec)) == 0 for vec in res.nullspace)
 
 
 def _relation_factors(d):

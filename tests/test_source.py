@@ -41,6 +41,27 @@ def test_double_description_is_referenced_only_in_polyhedra():
     assert not found, found
 
 
+def test_solve_exact_is_referenced_only_in_ratlin_and_polytope_vertices():
+    """The divisor-class system and the rational scan solve over Smith forms
+    and unimodular inverses; the Fraction solver serves the vertex
+    enumeration (and stays exported by the package)."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("ratlin.py", "__init__.py"):
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = set()
+        for node in ast.walk(tree) if path.name == "polyhedra.py" else ():
+            if isinstance(node, ast.ImportFrom) or (
+                isinstance(node, ast.FunctionDef) and node.name == "polytope_vertices"
+            ):
+                allowed |= {id(inner) for inner in ast.walk(node)}
+        for node in ast.walk(tree):
+            if "solve_exact" in _referenced_names(node) and id(node) not in allowed:
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+    assert not found, found
+
+
 def _unbounded_caches(tree):
     """`functools.cache` and `lru_cache(maxsize=None)` nodes of a module."""
     for node in ast.walk(tree):
