@@ -248,6 +248,14 @@ def _verdict_payload(v: singcheck.Verdict) -> dict:
     return out
 
 
+def _error_payload(exc: PolysingError) -> dict:
+    """A typed error as a report entry; a failed internal invariant is a bug,
+    not a verdict, and propagates instead."""
+    if isinstance(exc, InternalCheck):
+        raise exc
+    return {"status": "error", "error": type(exc).__name__, "detail": str(exc)}
+
+
 def analyze(d: pdiv.PolyhedralDivisor, only=None, budget=singcheck.DEFAULT_BUDGET) -> dict:
     """Run the analysis chain and collect one entry per criterion.
 
@@ -269,7 +277,7 @@ def analyze(d: pdiv.PolyhedralDivisor, only=None, budget=singcheck.DEFAULT_BUDGE
         try:
             payload = thunk()
         except PolysingError as exc:
-            payload = {"status": "error", "error": type(exc).__name__, "detail": str(exc)}
+            payload = _error_payload(exc)
         add(criterion, payload, t0)
         return payload
 
@@ -387,23 +395,27 @@ def analyze_numerical(block: dict) -> dict:
     """Gorenstein system in user-supplied-numerical-class mode: principality of
     the base divisor class is reported symbolically, not decided."""
     t0 = time.perf_counter()
-    res = divclass.gorenstein_solve_numerical(
-        block["classes"],
-        block["b"],
-        block["vertex_lists"],
-        block["extremal_rays"],
-        block["lattice_rank"],
-    )
-    if isinstance(res, divclass.NotQGorenstein):
-        payload = {"status": "not_q_gorenstein", "reason": res.reason}
+    try:
+        res = divclass.gorenstein_solve_numerical(
+            block["classes"],
+            block["b"],
+            block["vertex_lists"],
+            block["extremal_rays"],
+            block["lattice_rank"],
+        )
+    except PolysingError as exc:
+        payload = _error_payload(exc)
     else:
-        payload = {
-            "status": "solved",
-            "integrality_index": res.index,
-            "u": _fmt_vec(res.u),
-            "a": {str(p): _fmt_rat(a) for p, a in res.a},
-            "principality_checked": res.principality_checked,
-        }
+        if isinstance(res, divclass.NotQGorenstein):
+            payload = {"status": "not_q_gorenstein", "reason": res.reason}
+        else:
+            payload = {
+                "status": "solved",
+                "integrality_index": res.index,
+                "u": _fmt_vec(res.u),
+                "a": {str(p): _fmt_rat(a) for p, a in res.a},
+                "principality_checked": res.principality_checked,
+            }
     payload["criterion"] = "gorenstein"
     payload["ms"] = int((time.perf_counter() - t0) * 1000)
     return {"format": FORMAT_VERSION, "results": [payload], "exit": EXIT_OK}

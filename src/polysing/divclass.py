@@ -53,13 +53,13 @@ class SystemData:
     n: int  # lattice rank
 
 
-def _system_data(d: PolyhedralDivisor, extra_points: tuple[Point, ...]) -> SystemData:
+def _system_data(d: PolyhedralDivisor) -> SystemData:
     require_proper(d)
     if d.base.kind not in (PROJECTIVE_LINE, AFFINE_LINE):
         raise UnsupportedBase("class-group computations need P^1 or the affine line")
     ext = extremal_data(d)
     sup = dict(support(d))
-    pts = sorted(set(sup) | {p for p, _ in d.canonical.terms} | set(extra_points))
+    pts = sorted(set(sup) | {p for p, _ in d.canonical.terms})
     n = rank(d)
     verts = []
     for i, p in enumerate(pts):
@@ -98,18 +98,18 @@ def _class_rows(d: PolyhedralDivisor, data: SystemData) -> list[list[int]]:
 
 
 @_memoized
-def _class_system(d: PolyhedralDivisor, extra_points: tuple[Point, ...]) -> tuple[SystemData, list]:
-    """The layout and the divisor-class matrix of d, with extra_points added
-    as points outside the support; every reader of the system shares it."""
-    data = _system_data(d, extra_points)
+def _class_system(d: PolyhedralDivisor) -> tuple[SystemData, list]:
+    """The layout and the divisor-class matrix of d; every reader of the
+    system shares it."""
+    data = _system_data(d)
     return data, _monster_rows(data, _class_rows(d, data))
 
 
 @_memoized
-def _class_smith(d: PolyhedralDivisor, extra_points: tuple[Point, ...]) -> SmithForm:
+def _class_smith(d: PolyhedralDivisor) -> SmithForm:
     """Smith form of the divisor-class matrix; the class group reads its
     diagonal, the canonical class and generator degrees back-substitute."""
-    return smith_normal_form(_class_system(d, extra_points)[1])
+    return smith_normal_form(_class_system(d)[1])
 
 
 @dataclass(frozen=True)
@@ -134,8 +134,8 @@ def class_group(d: PolyhedralDivisor) -> ClassGroup:
     system gives the group, with one generator per row.  Points outside the
     support are pre-eliminated.
     """
-    data, rows = _class_system(d, ())
-    sf = _class_smith(d, ())
+    data, rows = _class_system(d)
+    sf = _class_smith(d)
     diag = [x for x in sf.diagonal if x != 0]
     torsion = tuple(x for x in diag if x > 1)
     free = len(rows) - len(diag)
@@ -184,9 +184,11 @@ def _solve_canonical(
     sol = smith_solve(smith, rhs)
     if isinstance(sol, Inconsistent):
         return NotQGorenstein("canonical-class system is inconsistent")
-    if isinstance(sol, Underdetermined):
-        raise UnsupportedShape("canonical-class system is underdetermined")
     s = len(data.points)
+    # a system without rows has a Smith form without columns: its empty
+    # solution leaves every unknown free
+    if isinstance(sol, Underdetermined) or len(sol.x) < s + data.n:
+        raise UnsupportedShape("canonical-class system is underdetermined")
     return tuple(zip(data.points, sol.x[:s])), sol.x[s:], mu(sol.x)
 
 
@@ -203,8 +205,8 @@ def gorenstein_solve(d: PolyhedralDivisor) -> GorensteinResult:
         raise UnsupportedBase("the canonical-class system needs P^1 or the affine line")
     if cone_dim(d.tail) != rank(d):
         raise UnsupportedShape("the canonical-class system needs a full-dimensional tail cone")
-    data, _ = _class_system(d, ())
-    res = _solve_canonical(data, _class_smith(d, ()))
+    data, _ = _class_system(d)
+    res = _solve_canonical(data, _class_smith(d))
     if isinstance(res, NotQGorenstein):
         return res
     result = GorensteinSolution(*res)
@@ -272,7 +274,7 @@ class Factoriality:
 @_memoized
 def factoriality_det(d: PolyhedralDivisor) -> Factoriality:
     """Square system with determinant +-1 characterizes a trivial class group."""
-    data, rows = _class_system(d, ())
+    data, rows = _class_system(d)
     m = len(rows)
     n_cols = len(data.points) + data.n
     if m != n_cols:
@@ -286,7 +288,9 @@ def generator_degrees(d: PolyhedralDivisor, target) -> tuple[tuple[int, ...], QD
 
     target is either (point, vertex) or a tail-ray tuple; needs a trivial class
     group so that the equation exists, and integrality then comes for free from
-    the unimodular system.
+    the unimodular system.  A point outside the system carries only the vertex
+    0, whose row fixes a = 1 there; what remains is the system itself with -1
+    on the degree row.
     """
     if d.base.kind != PROJECTIVE_LINE:
         raise UnsupportedBase("generator degrees are computed over P^1")
@@ -294,21 +298,20 @@ def generator_degrees(d: PolyhedralDivisor, target) -> tuple[tuple[int, ...], QD
     if cg.torsion or cg.free_rank:
         raise NoGlobalEquation("nontrivial class group: no global equation for one prime divisor")
     on_point = isinstance(target, tuple) and len(target) == 2 and isinstance(target[0], Point)
-    extra: tuple[Point, ...] = ()
-    if on_point and target[0] not in _class_system(d, ())[0].points:
-        extra = (target[0],)
-    data, _ = _class_system(d, extra)
+    data, _ = _class_system(d)
+    outside = False
     if on_point:
         tv = tuple(Fraction(x) for x in target[1])
         hits = [(data.points[i], v) == (target[0], tv) for i, v, _ in data.vertices]
         hits += [False] * len(data.extremal_rays)
+        outside = target[0] not in data.points and tv == (0,) * data.n
     else:
         ray = tuple(int(x) for x in target)
         hits = [False] * len(data.vertices) + [r == ray for r in data.extremal_rays]
-    if not any(hits):
+    if not (outside or any(hits)):
         raise ValueError("target vertex not found" if on_point else "target ray is not an extremal ray")
-    rhs = [0] + [int(h) for h in hits]
-    sol = smith_solve(_class_smith(d, extra), rhs)
+    rhs = [-1 if outside else 0] + [int(h) for h in hits]
+    sol = smith_solve(_class_smith(d), rhs)
     if not isinstance(sol, Unique):
         raise InternalCheck("trivial class group guarantees a unique solution")
     s = len(data.points)
@@ -316,7 +319,10 @@ def generator_degrees(d: PolyhedralDivisor, target) -> tuple[tuple[int, ...], QD
     u = sol.x[s:]
     if any(x.denominator != 1 for x in sol.x):
         raise InternalCheck("unimodular system must solve integrally")
-    f_div = QDivisor.of([(p, c) for p, c in zip(data.points, a)])
+    terms = list(zip(data.points, a))
+    if outside:
+        terms.append((target[0], Fraction(1)))
+    f_div = QDivisor.of(terms)
     return tuple(int(x) for x in u), f_div
 
 

@@ -46,7 +46,7 @@ class NotQGorensteinError(PolysingError):
 
 
 class ConstructionFailed(PolysingError):
-    """The factorial construction could not be normalized to pass its determinant check."""
+    """The constructed factorial divisor failed its determinant check."""
 
 
 class InternalCheck(PolysingError):

@@ -226,21 +226,29 @@ def check_isolated(d: PolyhedralDivisor) -> Verdict:
     return Verdict("yes")
 
 
-def _adapted_basis(f_gens: Sequence[tuple[int, ...]], n: int) -> tuple[list[tuple[int, ...]], int]:
-    """Lattice basis whose first k members span the saturation of f_gens.
+def _adapted_basis(
+    f_gens: Sequence[tuple[int, ...]], n: int
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], int]:
+    """Lattice basis whose first k members span the saturation of f_gens, its
+    inverse, and k.
 
     With U A V = (I_k | 0) for the saturated rows A, the first k rows of V^-1
-    span the same sublattice and the remaining rows complete the basis.
+    span the same sublattice and the remaining rows complete the basis; the
+    basis is diag(U^-1, I) V^-1, so its inverse is V diag(U, I).
     """
     if not f_gens:
-        return [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)], 0
+        ident = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+        return ident, ident, 0
     sat = saturated_basis(f_gens, n)
     k = len(sat)
     sf = smith_normal_form(list(sat))
     if any(x != 1 for x in sf.diagonal):
         raise InternalCheck("saturation must be a direct summand")
     v_inv = invert_unimodular(sf.right)
-    return list(sat) + [tuple(v_inv[i]) for i in range(k, n)], k
+    u_cols = [col + (0,) * (n - k) for col in zip(*sf.left)]
+    u_cols += [tuple(int(i == j) for i in range(n)) for j in range(k, n)]
+    inverse = [tuple(dot(row, col) for col in u_cols) for row in sf.right]
+    return list(sat) + [tuple(v_inv[i]) for i in range(k, n)], inverse, k
 
 
 @_memoized
@@ -290,10 +298,10 @@ def _scan_cell(d: PolyhedralDivisor, cell, budget: int):
     f_gens = [g for g in gens if dot(g, w_deg) == 0]
     if any(dot(g, w_deg) < 0 for g in gens):
         raise InternalCheck("properness bounds the degree below")
-    basis, k = _adapted_basis(f_gens, n)
+    basis, inverse, k = _adapted_basis(f_gens, n)
     m_free = n - k
     # the coordinates c with c . basis = g are g . basis^-1
-    inv_cols = list(zip(*invert_unimodular(basis)))
+    inv_cols = list(zip(*inverse))
     coords = {g: tuple(dot(g, col) for col in inv_cols) for g in gens}
 
     def to_u(c: Sequence[int]) -> tuple[int, ...]:
@@ -334,14 +342,6 @@ def _scan_cell(d: PolyhedralDivisor, cell, budget: int):
             else:
                 rows_x.append((ax, b_eff))
         if not feasible:
-            continue
-        if k == 0:
-            u = to_u(tuple(y))
-            val = phi(u)
-            if val < -1:
-                return ("no", u, val)
-            if val < worst_val:
-                worst_u, worst_val = u, val
             continue
         s = 0
         for ax, b_eff in rows_x:

@@ -69,7 +69,7 @@ def default_points(count: int) -> list[Point]:
     return pts[:count]
 
 
-def _build_vertices(mus: list[tuple[int, ...]], tweaks: dict, depth: int = 0):
+def _build_vertices(mus: list[tuple[int, ...]]):
     """Vertex vectors per entry, recursing on the total tuple length.
 
     Base case: singleton tuples get c_i / mu_i on a line, with the Bezout
@@ -85,23 +85,16 @@ def _build_vertices(mus: list[tuple[int, ...]], tweaks: dict, depth: int = 0):
         g, coeffs = ext_gcd_multi(partials)
         if g != 1:
             raise DegenerateInput("complementary products are not coprime")
-        for (i1, i2), k in tweaks.get(("base", depth), {}).items():
-            coeffs[i1] += k * vals[i1]
-            coeffs[i2] -= k * vals[i2]
         if sum(c * p for c, p in zip(coeffs, partials)) != 1:
-            raise InternalCheck("Bezout coefficients must stay a certificate of 1")
+            raise InternalCheck("base coefficients must be a Bezout certificate of 1")
         return [[(Fraction(c, v),)] for c, v in zip(coeffs, vals)]
     mu_a, mu_b = mus[j][-2], mus[j][-1]
     g, alpha, beta = ext_gcd(mu_a, mu_b)
-    k = tweaks.get(("split", depth))
-    if k:
-        alpha -= k * mu_b
-        beta += k * mu_a
     if alpha * mu_a + beta * mu_b != g:
-        raise InternalCheck("split coefficients must stay a Bezout certificate")
+        raise InternalCheck("split coefficients must be a Bezout certificate of the gcd")
     sub_mus = list(mus)
     sub_mus[j] = mus[j][:-2] + (g,)
-    sub = _build_vertices(sub_mus, tweaks, depth + 1)
+    sub = _build_vertices(sub_mus)
     out = []
     for i, verts in enumerate(sub):
         if i != j:
@@ -115,9 +108,15 @@ def _build_vertices(mus: list[tuple[int, ...]], tweaks: dict, depth: int = 0):
     return out
 
 
-def _assemble(data: AdmissibleData, tweaks: dict) -> PolyhedralDivisor:
-    mus = [t for _, t in data.entries]
-    verts = _build_vertices(mus, tweaks)
+@_memoized
+def construct_divisor(data: AdmissibleData) -> PolyhedralDivisor:
+    """Polyhedral divisor with factorial section ring for the given data.
+
+    The divisor is built once, from the default Bezout coefficients, and
+    verified through the determinant criterion; a failure is an error rather
+    than an unverified return.
+    """
+    verts = _build_vertices([t for _, t in data.entries])
     n = data.extra_rank + 1
     rays = []
     for pick in product(*verts):
@@ -125,40 +124,10 @@ def _assemble(data: AdmissibleData, tweaks: dict) -> PolyhedralDivisor:
         rays.append(scale_to_int(total))
     tail = make_cone(rays, n)
     coeffs = {p: sigma_polyhedron(vs, tail) for (p, _), vs in zip(data.entries, verts)}
-    return polyhedral_divisor(P1, tail, coeffs)
-
-
-@_memoized
-def construct_divisor(data: AdmissibleData) -> PolyhedralDivisor:
-    """Polyhedral divisor with factorial section ring for the given data.
-
-    The result is verified through the determinant criterion; if the default
-    Bezout normalization ever failed it, nearby normalizations are searched,
-    and exhaustion is an error rather than an unverified return.
-    """
-    d = _assemble(data, {})
-    if abs(factoriality_det(d).det or 0) == 1:
-        return d
-    depths = data.extra_rank
-    s = len(data.entries)
-    candidates: list[dict] = []
-    for depth in range(depths):
-        for k in range(1, 17):
-            for sign in (1, -1):
-                candidates.append({("split", depth): sign * k})
-    for i1 in range(s):
-        for i2 in range(i1 + 1, s):
-            for k in range(1, 17):
-                for sign in (1, -1):
-                    candidates.append({("base", depths): {(i1, i2): sign * k}})
-    for tweak in candidates:
-        try:
-            d = _assemble(data, tweak)
-        except DegenerateInput:
-            continue
-        if abs(factoriality_det(d).det or 0) == 1:
-            return d
-    raise ConstructionFailed("no Bezout normalization passed the determinant check")
+    d = polyhedral_divisor(P1, tail, coeffs)
+    if abs(factoriality_det(d).det or 0) != 1:
+        raise ConstructionFailed("the constructed divisor fails the determinant check")
+    return d
 
 
 def _var_name(i: int, j: int, r_i: int) -> str:
@@ -187,29 +156,20 @@ class Presentation:
 
 def _normalized_coordinates(points: Sequence[Point]) -> list[Fraction]:
     """Images of points 3.. under the Moebius map sending the first three
-    points to infinity, 0, 1."""
+    points to infinity, 0, 1: the cross ratio
+    det(p, z2) det(z3, z1) / (det(p, z1) det(z3, z2)) in homogeneous
+    coordinates t = [t:1], infinity = [1:0]."""
+
+    def hom(p: Point) -> tuple[Fraction, Fraction]:
+        return (Fraction(1), Fraction(0)) if p.is_infinity else (p.value, Fraction(1))
+
+    def det(a, b) -> Fraction:
+        return a[0] * b[1] - a[1] * b[0]
+
     if len(points) < 3:
         return []
-    z1, z2, z3 = points[0], points[1], points[2]
-
-    def phi(p: Point) -> Fraction:
-        # cross ratio ((t - z2)(z3 - z1)) / ((t - z1)(z3 - z2))
-        if z1.is_infinity:
-            return (p.value - z2.value) / (z3.value - z2.value)
-        if z2.is_infinity:
-            return (z3.value - z1.value) / (p.value - z1.value)
-        if z3.is_infinity:
-            return (p.value - z2.value) / (p.value - z1.value)
-        if p.is_infinity:
-            return (z3.value - z1.value) / (z3.value - z2.value)
-        return ((p.value - z2.value) * (z3.value - z1.value)) / (
-            (p.value - z1.value) * (z3.value - z2.value)
-        )
-
-    out = [Fraction(1)]
-    for p in points[3:]:
-        out.append(phi(p))
-    return out
+    z1, z2, z3 = (hom(p) for p in points[:3])
+    return [det(q, z2) * det(z3, z1) / (det(q, z1) * det(z3, z2)) for q in map(hom, points[2:])]
 
 
 def presentation(data: AdmissibleData, divisor: PolyhedralDivisor | None = None) -> Presentation:

@@ -177,6 +177,34 @@ def test_cli_numerical_mode(data_dir):
     assert entry["principality_checked"] is False
 
 
+@pytest.mark.parametrize(
+    "points",
+    [[{"class": [1], "b": "0", "vertices": []}], []],
+    ids=["no-vertices", "no-points"],
+)
+def test_cli_numerical_underdetermined_is_an_error_entry(tmp_path, capsys, points):
+    """A numerical system that leaves unknowns free is reported as an error
+    entry, neither a traceback nor an empty solution."""
+    path = tmp_path / "num.json"
+    path.write_text(json.dumps({"format": 1, "numerical": {"lattice_rank": 1, "points": points}}))
+    assert main(["analyze", str(path), "--report", "json"]) == 0
+    (entry,) = json.loads(capsys.readouterr().out)["results"]
+    assert entry["status"] == "error"
+    assert entry["error"] == "UnsupportedShape"
+
+
+def test_analyze_propagates_internal_check(monkeypatch, ex1):
+    """A failed invariant inside a criterion is a bug, not a report entry."""
+    from polysing import divclass
+
+    def broken(*args, **kwargs):
+        raise InternalCheck("broken invariant")
+
+    monkeypatch.setattr(divclass, "class_group", broken)
+    with pytest.raises(InternalCheck):
+        analyze(ex1, only=["class_group"])
+
+
 def test_cli_batch_directory(tmp_path, data_dir):
     for name in ("ex1.json", "e8.json"):
         (tmp_path / name).write_text((data_dir / name).read_text())

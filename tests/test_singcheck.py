@@ -14,7 +14,9 @@ from polysing.pdiv import (
     polyhedral_divisor,
 )
 from polysing.polyhedra import make_cone, sigma_polyhedron, tail_polyhedron
+from polysing.ratlin import invert_unimodular, saturated_basis
 from polysing.singcheck import (
+    _adapted_basis,
     boundary_data,
     check_cm,
     check_elliptic,
@@ -330,3 +332,16 @@ def test_rational_budget_inconclusive(ex1):
     v = cr(ex1, budget=1)
     assert v.status == "inconclusive"
     assert "budget" in v.reason
+
+
+def test_adapted_basis_carries_its_inverse():
+    """The basis starts with a basis of the saturation, and the inverse read
+    off its Smith form is the inverse of the basis."""
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        gens = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(rng.randint(0, 3))]
+        gens = [g for g in gens if any(g)]
+        basis, inverse, k = _adapted_basis(gens, n)
+        assert basis[:k] == saturated_basis(gens, n)
+        assert [list(r) for r in inverse] == invert_unimodular(basis)

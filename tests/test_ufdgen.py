@@ -3,7 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from polysing.divclass import class_group, factoriality_det
-from polysing.errors import DegenerateInput
+from polysing.errors import ConstructionFailed, DegenerateInput
 from polysing.pdiv import Point, is_proper, support
 from polysing.ufdgen import (
     admissible_data,
@@ -13,6 +13,7 @@ from polysing.ufdgen import (
     hilbert_compare,
     hilbert_compare_presentation,
     presentation,
+    _normalized_coordinates,
 )
 
 
@@ -117,6 +118,37 @@ def test_presentation_moebius_normalization():
     assert len(pres4.relations) == 2
     assert pres4.relations[0] == "T3^5 + T2^3 - T1^2"
     assert pres4.relations[1] == "T4^7 + T2^3 - 2*T1^2"
+
+
+@pytest.mark.parametrize(
+    "values, expected",
+    [
+        (["inf", 1, 3, 2], [1, F(1, 2)]),
+        ([1, "inf", 3, 2], [1, F(2)]),
+        ([0, 2, "inf", 3], [1, F(1, 3)]),
+        ([0, 1, 3, "inf", 2], [1, F(3, 2), F(3, 4)]),
+        ([0, 1, 2, 3], [1, F(4, 3)]),
+        ([0, 1], []),
+    ],
+    ids=["inf-first", "inf-second", "inf-third", "inf-later", "no-inf", "two-points"],
+)
+def test_normalized_coordinates_cross_ratio(values, expected):
+    """The Moebius map sending the first three points to inf, 0, 1, with
+    infinity at every position; values computed by hand from
+    (t - z2)(z3 - z1) / ((t - z1)(z3 - z2))."""
+    pts = [Point.infinity() if v == "inf" else Point.coord(v) for v in values]
+    assert _normalized_coordinates(pts) == expected
+
+
+def test_construct_divisor_verifies_the_determinant(monkeypatch):
+    """The construction is checked, not trusted: a determinant other than
+    +-1 is an error."""
+    from polysing import ufdgen
+    from polysing.divclass import Factoriality
+
+    monkeypatch.setattr(ufdgen, "factoriality_det", lambda d: Factoriality(False, 2, (3, 3)))
+    with pytest.raises(ConstructionFailed):
+        construct_divisor(data_of((2,), (3,), (5,)))
 
 
 def test_hilbert_e8_spot_values():
