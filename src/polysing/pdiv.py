@@ -193,6 +193,7 @@ def rank(d: PolyhedralDivisor) -> int:
     return d.tail.ambient_rank
 
 
+@_memoized
 def support(d: PolyhedralDivisor) -> tuple[tuple[Point, SigmaPolyhedron], ...]:
     """Points whose coefficient differs from the tail cone."""
     return tuple((p, poly) for p, poly in d.coeffs if not is_tail_trivial(poly))
@@ -345,13 +346,15 @@ def extremal_data(d: PolyhedralDivisor) -> ExtremalData:
 
 def higher_direct_dims(d: PolyhedralDivisor, u: Sequence[int]) -> tuple[int, int]:
     """Dimensions (h0, h1) of the degree-u piece of the section ring and of the
-    first cohomology, via line-bundle cohomology on P^1."""
+    first cohomology, via line-bundle cohomology on P^1: the floor of
+    D(u) has degree sum_p floor(min <u, D_p>), in integers only."""
     if d.base.kind != PROJECTIVE_LINE:
         raise UnsupportedBase("cohomology dimensions are computed on P^1 only")
-    if any(Fraction(x).denominator != 1 for x in u):
+    lattice = tuple(int(x) for x in u)
+    if lattice != tuple(u):
         raise ValueError("u must be a lattice point")
     for g in d.tail.generators:
-        if dot(u, g) < 0:
+        if dot(lattice, g) < 0:
             raise UnboundedBelow("u lies outside the dual tail cone")
-    _, fdeg = floor_degree(evaluate(d, u))
+    fdeg = sum(min(dot(lattice, row) for row in poly.numerators) // poly.den for _, poly in support(d))
     return max(fdeg + 1, 0), max(-fdeg - 1, 0)

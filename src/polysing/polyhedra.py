@@ -10,7 +10,7 @@ joint vertex selection, `_normal_cones`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -208,10 +208,23 @@ def face_of_cone(c: Cone, u: Sequence) -> Cone:
 
 @dataclass(frozen=True)
 class SigmaPolyhedron:
-    """conv(vertices) + tail, with every listed vertex a true vertex."""
+    """conv(vertices) + tail, with every listed vertex a true vertex.
+
+    `numerators` holds the vertices as integer rows over the common
+    denominator `den`, so that evaluation needs one Fraction per polyhedron
+    instead of one per vertex coordinate.
+    """
 
     vertices: tuple[tuple[Fraction, ...], ...]
     tail: Cone
+    den: int = field(init=False, repr=False, compare=False)
+    numerators: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        den = math.lcm(*[x.denominator for v in self.vertices for x in v])
+        rows = tuple(tuple(x.numerator * (den // x.denominator) for x in v) for v in self.vertices)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "numerators", rows)
 
 
 def _rat_vec(v: Sequence) -> tuple[Fraction, ...]:
@@ -274,9 +287,9 @@ def support_value(p: SigmaPolyhedron, u: Sequence) -> tuple[Fraction, tuple[tupl
     for g in p.tail.generators:
         if dot(u, g) < 0:
             raise UnboundedBelow(f"<{tuple(u)}, {g}> < 0 on a tail ray")
-    values = [(dot(u, v), v) for v in p.vertices]
-    best = min(val for val, _ in values)
-    return best, tuple(v for val, v in values if val == best)
+    values = [dot(u, row) for row in p.numerators]
+    best = min(values)
+    return Fraction(best, p.den), tuple(v for val, v in zip(values, p.vertices) if val == best)
 
 
 def normal_rays(p: SigmaPolyhedron):

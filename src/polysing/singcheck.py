@@ -307,8 +307,11 @@ def _scan_cell(d: PolyhedralDivisor, cell, budget: int):
     def to_u(c: Sequence[int]) -> tuple[int, ...]:
         return tuple(sum(c[i] * basis[i][j] for i in range(n)) for j in range(n))
 
+    # each selected vertex as (mu, integer row): floor(<u, v>) = <u, row> // mu
+    int_sel = [(m, tuple(int(x * m) for x in v)) for m, v in zip(mus, sel)]
+
     def phi(u) -> int:
-        return sum(math.floor(dot(u, v)) for v in sel)
+        return sum(dot(u, row) // m for m, row in int_sel)
 
     # constraints a.x >= b in adapted coordinates: the cell's half-spaces plus
     # the degree bound (rational rows are fine, lattice points are integral)

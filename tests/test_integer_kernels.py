@@ -2,7 +2,9 @@
 
 `lattice_points` is checked against a box filter over the vertices of the
 region, `is_regular` against its definition through the double description:
-pointed, extreme rays independent, maximal minors coprime.
+pointed, extreme rays independent, maximal minors coprime.  `support_value`
+is checked against the minimum of Fraction dots over the vertices, and
+`higher_direct_dims` against the floor degree of the evaluated divisor.
 """
 import math
 import random
@@ -12,8 +14,18 @@ from itertools import product
 
 import pytest
 
-from polysing.errors import DegenerateInput
+from polysing.errors import DegenerateInput, UnboundedBelow
+from polysing.pdiv import (
+    P1,
+    Point,
+    evaluate,
+    floor_degree,
+    higher_direct_dims,
+    is_proper,
+    polyhedral_divisor,
+)
 from polysing.polyhedra import (
+    SigmaPolyhedron,
     _max_minor_gcd,
     is_pointed,
     is_regular,
@@ -21,8 +33,10 @@ from polysing.polyhedra import (
     make_cone,
     minimal_generators,
     polytope_vertices,
+    sigma_polyhedron,
+    support_value,
 )
-from polysing.ratlin import dot, matrix_rank
+from polysing.ratlin import dot, invert_unimodular, matrix_rank
 
 pytest.importorskip("hypothesis")
 
@@ -141,3 +155,93 @@ def test_is_regular_matches_description(data):
         return
     c = make_cone(gens, n)
     assert is_regular(c) == _regular_by_description(c)
+
+
+def _support_value_by_fractions(p, u):
+    """The minimum of <u, v> over the vertices, one Fraction dot per vertex."""
+    for g in p.tail.generators:
+        if dot(u, g) < 0:
+            raise UnboundedBelow(f"<{tuple(u)}, {g}> < 0 on a tail ray")
+    values = [(dot(u, v), v) for v in p.vertices]
+    best = min(val for val, _ in values)
+    return best, tuple(v for val, v in values if val == best)
+
+
+@KERNEL
+@given(st.data())
+def test_support_value_matches_fraction_dots(data):
+    """Listed vertices, not pruned, over tails of every dimension from 0 to n."""
+    n = data.draw(st.integers(1, 4))
+    vec = st.tuples(*[st.integers(-2, 2)] * n)
+    tail = make_cone(data.draw(st.lists(vec, max_size=n)), n)
+    verts = data.draw(st.lists(st.tuples(*[fracs] * n), min_size=1, max_size=5, unique=True))
+    p = SigmaPolyhedron(tuple(sorted(verts)), tail)
+    coord = st.integers(-5, 5) | st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    u = data.draw(st.tuples(*[coord] * n))
+    try:
+        expected = _support_value_by_fractions(p, u)
+    except UnboundedBelow:
+        with pytest.raises(UnboundedBelow):
+            support_value(p, u)
+        return
+    value, attained = support_value(p, u)
+    assert isinstance(value, F)
+    assert (value, attained) == expected
+
+
+# mostly non-integral, so that the floors lose something at most points
+proper_fracs = st.builds(F, st.integers(-20, 20), st.integers(2, 5))
+
+
+@st.composite
+def proper_p1_divisors(draw):
+    """A divisor on P^1 over a simplicial unimodular tail L * orthant, with a
+    lattice point u of the dual tail.
+
+    Vertices are drawn in L-coordinates; the coefficient at infinity shifts
+    the degree polyhedron strictly inside the tail, which makes it proper.
+    """
+    n = draw(st.integers(1, 3))
+    lower = [
+        [1 if i == j else (draw(st.integers(-2, 2)) if j < i else 0) for j in range(n)] for i in range(n)
+    ]
+
+    def place(c):
+        return tuple(dot(row, c) for row in lower)
+
+    tail = make_cone(list(zip(*lower)), n)
+    coeffs, low = {}, [F(0)] * n
+    for point in map(Point.coord, range(draw(st.integers(1, 4)))):
+        cs = draw(st.lists(st.tuples(*[proper_fracs] * n), min_size=1, max_size=3, unique=True))
+        low = [lo + min(c[i] for c in cs) for i, lo in enumerate(low)]
+        coeffs[point] = sigma_polyhedron([place(c) for c in cs], tail)
+    # a small lift leaves the floors room to push the degree below -1 (h1 > 0)
+    lift = [draw(st.fractions(min_value=F(1, 12), max_value=F(1, 2), max_denominator=12)) - lo for lo in low]
+    coeffs[Point.infinity()] = sigma_polyhedron([place(lift)], tail)
+    d = polyhedral_divisor(P1, tail, coeffs)
+    # the dual tail is spanned by the rows of L^-1
+    weights = draw(st.tuples(*[st.integers(0, 2)] * n))
+    u = tuple(dot(weights, col) for col in zip(*invert_unimodular(lower)))
+    return d, u
+
+
+@KERNEL
+@given(proper_p1_divisors())
+def test_higher_direct_dims_match_floor_degree(case):
+    d, u = case
+    assert is_proper(d).status == "proper"
+    fdeg = floor_degree(evaluate(d, u))[1]
+    assert higher_direct_dims(d, u) == (max(fdeg + 1, 0), max(-fdeg - 1, 0))
+
+
+def test_sigma_polyhedron_integer_rows_stay_out_of_equality():
+    tail = make_cone([(1, 0), (0, 1)])
+    a = sigma_polyhedron([(F(1, 2), F(2, 3)), (F(-3, 4), 5), (3, -1)], tail)
+    b = sigma_polyhedron([(F(3), F(-1)), (4, 6), (F(-3, 4), F(5)), (F(1, 2), F(2, 3))], tail)
+    assert len(a.vertices) == 3 and a is not b
+    assert a == b and hash(a) == hash(b)
+    assert a.den == 12
+    assert a.numerators == tuple(tuple(int(x * 12) for x in v) for v in a.vertices)
+    text = repr(a)
+    assert "den" not in text and "numerators" not in text
+    assert a != sigma_polyhedron([(F(1, 2), F(2, 3))], tail)

@@ -122,6 +122,10 @@ def test_higher_direct_dims(ex1, elliptic_minimal):
     val, fd = floor_degree(evaluate(d, (1,)))
     assert fd == -1
     assert higher_direct_dims(d, (1,)) == (0, 0)
+    assert higher_direct_dims(ex1, (F(2), F(0))) == (1, 0)
+    for off_lattice in ((F(1, 2),), (1.5,)):
+        with pytest.raises(ValueError):
+            higher_direct_dims(d, off_lattice)
     with pytest.raises(UnsupportedBase):
         higher_direct_dims(
             polyhedral_divisor(A1, ray, {Point.coord(0): sigma_polyhedron([(F(1, 2),)], ray)}),

@@ -1,10 +1,12 @@
 import random
+import signal
 from fractions import Fraction as F
 
 import pytest
 
 from polysing.errors import TailMismatch, UnboundedBelow, UnsupportedRank
 from polysing.polyhedra import (
+    Cone,
     cayley_cone,
     cone_contains,
     dual_cone,
@@ -221,3 +223,29 @@ def test_pointedness():
     assert is_pointed(make_cone([(1, 0), (0, 1)]))
     assert not is_pointed(make_cone([(1, 0), (-1, 0), (0, 1)]))
     assert is_pointed(make_cone([], 2))  # the zero cone
+
+
+# pairwise sums of a 4-point and a 3-point polytope in Z^4 with entries in -1..1
+RANK4_SUMS = [
+    (-2, 0, 2, -2), (-2, 2, 1, 0), (-1, -1, 2, -2), (-1, 0, 1, 0), (-1, 1, 1, 0), (-1, 2, 0, 2),
+    (0, -2, 2, -2), (0, 0, 1, 0), (0, 1, 1, 0), (1, 0, 1, 0), (1, 1, 0, 2), (2, -1, 1, 0),
+]
+
+
+@pytest.mark.xfail(
+    raises=TimeoutError,
+    strict=True,
+    reason="CHANGES.md FOUND: sigma_polyhedron with an empty rank-4 tail compounds in _dd_halfspaces",
+)
+def test_rank4_polytope_with_empty_tail_finishes():
+    def expire(signum, frame):
+        raise TimeoutError("rank-4 polytope ran past 2 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 2)
+    try:
+        p = sigma_polyhedron(RANK4_SUMS, Cone(4, ()))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert set(p.vertices) <= {tuple(map(F, v)) for v in RANK4_SUMS}
