@@ -149,15 +149,23 @@ def _parse_divisor(doc, where) -> pdiv.PolyhedralDivisor:
                 raise ParseError("vertex has wrong dimension", loc)
             parsed.append([_rat(x, loc) for x in v])
         coeffs[p] = polyhedra.sigma_polyhedron(parsed, tail)
-    canonical = None
+    try:
+        d = pdiv.polyhedral_divisor(base, tail, coeffs)
+    except ValueError as exc:
+        raise ParseError(str(exc), where)
     if "canonical_divisor" in doc:
         terms = []
         loc = f"{where}: canonical_divisor"
         for t in _list_of(doc["canonical_divisor"], dict, "canonical_divisor", where):
             terms.append((_point(t.get("point"), base, loc), _rat(t.get("coeff"), loc)))
-        canonical = QDivisor.of(terms)
+        d = _with_canonical(d, QDivisor.of(terms), loc)
+    return d
+
+
+def _with_canonical(d: pdiv.PolyhedralDivisor, canonical: QDivisor, where) -> pdiv.PolyhedralDivisor:
+    """The divisor d with its canonical divisor replaced."""
     try:
-        return pdiv.polyhedral_divisor(base, tail, coeffs, canonical)
+        return pdiv.polyhedral_divisor(d.base, d.tail, dict(d.coeffs), canonical)
     except ValueError as exc:
         raise ParseError(str(exc), where)
 
@@ -535,9 +543,7 @@ def _dispatch(args) -> int:
                 else:
                     d = _require_kind(doc, "divisor", path)
                     if args.kdiv:
-                        d = pdiv.polyhedral_divisor(
-                            d.base, d.tail, dict(d.coeffs), _parse_kdiv(args.kdiv, d.base)
-                        )
+                        d = _with_canonical(d, _parse_kdiv(args.kdiv, d.base), "--kdiv")
                     report = analyze(d, only, args.budget)
             except ParseError as exc:
                 # batch contract: files are independent, one bad file does not

@@ -186,6 +186,11 @@ def polyhedral_divisor(
             raise ValueError("abstract curve points carry labels, not coordinates")
     if canonical is None:
         canonical = default_canonical(base) if base.kind != ABSTRACT else ZERO_DIVISOR
+    elif base.kind != ABSTRACT:
+        if not canonical.is_integral():
+            raise ValueError("canonical divisor must be integral")
+        if base.kind == PROJECTIVE_LINE and canonical.degree != -2:
+            raise ValueError(f"canonical divisor on P1 must have degree -2, not {canonical.degree}")
     return PolyhedralDivisor(base, tail, tuple(sorted(items)), canonical)
 
 

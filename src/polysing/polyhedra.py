@@ -90,15 +90,12 @@ def _dd_halfspaces(
         a = primitive(a)
         if not any(a) or a in done:
             continue
-        plus = [r for r in rays if dot(a, r) > 0]
-        zero = [r for r in rays if dot(a, r) == 0]
-        minus = [r for r in rays if dot(a, r) < 0]
-        new = {r for r in plus}
-        new.update(zero)
-        for rp in plus:
-            wp = dot(a, rp)
-            for rm in minus:
-                wm = dot(a, rm)
+        weighted = [(dot(a, r), r) for r in rays]
+        plus = [(w, r) for w, r in weighted if w > 0]
+        minus = [(w, r) for w, r in weighted if w < 0]
+        new = {r for w, r in weighted if w >= 0}
+        for wp, rp in plus:
+            for wm, rm in minus:
                 comb = primitive(tuple(wp * x - wm * y for x, y in zip(rm, rp)))
                 if any(comb):
                     new.add(comb)

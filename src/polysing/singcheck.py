@@ -43,6 +43,7 @@ from .polyhedra import (
     face_of_cone,
     halfspaces,
     is_regular,
+    lattice_points,
     minimal_generators,
     minkowski_sum,
     tail_polyhedron,
@@ -299,10 +300,10 @@ def _scan_cell(d: PolyhedralDivisor, cell, budget: int):
     if any(dot(g, w_deg) < 0 for g in gens):
         raise InternalCheck("properness bounds the degree below")
     basis, inverse, k = _adapted_basis(f_gens, n)
-    m_free = n - k
-    # the coordinates c with c . basis = g are g . basis^-1
-    inv_cols = list(zip(*inverse))
-    coords = {g: tuple(dot(g, col) for col in inv_cols) for g in gens}
+    # the coordinates c with c . basis = g are g . basis^-1; the slab direction
+    # w0 is the sum of the degree-zero generators, interior to their face
+    f_sum = [sum(g[j] for g in f_gens) for j in range(n)]
+    w0 = tuple(sum(f_sum[j] * inverse[j][i] for j in range(n)) for i in range(k))
 
     def to_u(c: Sequence[int]) -> tuple[int, ...]:
         return tuple(sum(c[i] * basis[i][j] for i in range(n)) for j in range(n))
@@ -315,79 +316,38 @@ def _scan_cell(d: PolyhedralDivisor, cell, budget: int):
 
     # constraints a.x >= b in adapted coordinates: the cell's half-spaces plus
     # the degree bound (rational rows are fine, lattice points are integral)
-    constraints: list[tuple[tuple, Fraction]] = []
-    for h in halfspaces(cell.cone):
-        constraints.append((tuple(dot(basis[i], h) for i in range(n)), Fraction(0)))
-    deg_row = tuple(-dot(basis[i], w_deg) for i in range(n))
-    constraints.append((deg_row, -bound))
+    constraints = [(tuple(dot(basis[i], h) for i in range(n)), 0) for h in halfspaces(cell.cone)]
+    constraints.append((tuple(-dot(basis[i], w_deg) for i in range(n)), -bound))
+    rows_x = [(a[:k], a[k:], b) for a, b in constraints if any(a[:k])]
+    if any(dot(ax, w0) <= 0 for ax, _, _ in rows_x):
+        raise InternalCheck("slab direction must strictly satisfy every slice constraint")
+    rows_y = [(a[k:], b) for a, b in constraints if not any(a[:k])]
 
-    # the transversal part ranges over the projected cell cut by the degree bound
-    ybox = _ybox([coords[g][k:] for g in gens], tuple(-x for x in deg_row[k:]), bound, m_free)
-    count = ell**k
-    for lo, hi in ybox:
-        count *= max(hi - lo + 1, 0)
-        if count > budget:
-            return ("budget",)
-    if count == 0:
-        return ("ok", None, 0)
-    w0 = tuple(sum(coords[g][i] for g in f_gens) for i in range(k))
+    # the transversal part ranges over the projected cell cut by the degree
+    # bound: every generator off the degree-zero face has positive degree
+    # (checked above), so that region is bounded
     worst_u, worst_val = None, 0
-    for y in product(*[range(lo, hi + 1) for lo, hi in ybox]):
-        rows_x: list[tuple[tuple, Fraction]] = []
-        feasible = True
-        for a, b in constraints:
-            ax, ay = a[:k], a[k:]
-            b_eff = b - dot(ay, y)
-            if not any(ax):
-                if 0 < b_eff:
-                    feasible = False
-                    break
-            else:
-                rows_x.append((ax, b_eff))
-        if not feasible:
-            continue
+    slab = ell**k
+    count = 0
+    for y in lattice_points([a for a, _ in rows_y], [b for _, b in rows_y], n - k):
+        count += 1
+        if count * slab > budget:
+            return ("budget",)
         s = 0
-        for ax, b_eff in rows_x:
-            aw = dot(ax, w0)
-            if aw <= 0:
-                raise InternalCheck("slab direction must strictly satisfy every slice constraint")
-            slack = b_eff - sum(min(a, 0) * (ell - 1) for a in ax)
+        for ax, ay, b in rows_x:
+            slack = b - dot(ay, y) - sum(min(a, 0) * (ell - 1) for a in ax)
             if slack > 0:
-                s = max(s, math.ceil(Fraction(slack) / aw))
+                s = max(s, math.ceil(Fraction(slack) / dot(ax, w0)))
         base_x = tuple(s * w for w in w0)
         for xi in product(range(ell), repeat=k):
             x = tuple(bb + o for bb, o in zip(base_x, xi))
-            u = to_u(x + tuple(y))
+            u = to_u(x + y)
             val = phi(u)
             if val < -1:
                 return ("no", u, val)
             if val < worst_val:
                 worst_u, worst_val = u, val
     return ("ok", worst_u, worst_val)
-
-
-def _ybox(image_gens, deg_y, bound, m_free):
-    """Integer bounding box of the projected cell cut by the degree bound.
-
-    The projection of the cell is the cone spanned by the generator images and
-    the degree deg_y is positive on each nonzero image, so the region is
-    conv(0, bound * g / deg(g)) and its box is the box of those corners.
-    """
-    if m_free == 0:
-        return []
-    img = [g for g in image_gens if any(g)]
-    if not img:
-        raise InternalCheck("a full-dimensional cell projects onto the transversal space")
-    corners = [(0,) * m_free]
-    for g in img:
-        deg = dot(deg_y, g)
-        if deg <= 0:
-            raise InternalCheck("the degree is positive off the degree-zero face")
-        corners.append(tuple(bound * x / deg for x in g))
-    return [
-        (math.ceil(min(c[j] for c in corners)), math.floor(max(c[j] for c in corners)))
-        for j in range(m_free)
-    ]
 
 
 @dataclass(frozen=True)
@@ -531,8 +491,8 @@ def classify_canonical(d: PolyhedralDivisor) -> CanonicalType:
         return CanonicalType("not_canonical", None, idx, u0, "not log-terminal")
     if idx != 1:
         return CanonicalType("not_canonical", None, idx, u0, f"Gorenstein index {idx} exceeds 1")
-    if u0 > -1:
-        raise InternalCheck("index one and log-terminal force u0 <= -1")
+    if u0 * d.tail.generators[0][0] > -1:
+        raise InternalCheck("index one and log-terminal force <u0, tail ray> <= -1")
     profile = sorted(m for _, m in bd.mu_max if m > 1)
     if len(profile) <= 2:
         cg = class_group(d)

@@ -144,6 +144,15 @@ def test_cli_kdiv_override(data_dir):
     assert g1["u"] == g2["u"]
 
 
+@pytest.mark.parametrize("kdiv", ["3*0,3*inf", "-1/2*0,-3/2*inf"])
+def test_cli_kdiv_must_be_a_canonical_divisor(data_dir, kdiv):
+    # wrong degree on P1, then not integral
+    proc = run_cli(["analyze", str(data_dir / "a2.json"), f"--kdiv={kdiv}"])
+    assert proc.returncode == EXIT_PARSE_ERROR
+    assert "Traceback" not in proc.stderr
+    assert "--kdiv" in proc.stderr
+
+
 def test_cli_construct_and_present(data_dir):
     out = run_cli(["construct", str(data_dir / "admissible_e8.json"), "--report", "json"])
     doc = json.loads(out.stdout)
@@ -246,6 +255,8 @@ def test_cli_batch_mixed_directory(data_dir):
         ("tail_rays", [["a"]]),
         ("coefficients", [5]),
         ("canonical_divisor", 7),
+        ("canonical_divisor", [{"point": "0", "coeff": "3"}, {"point": "inf", "coeff": "3"}]),
+        ("canonical_divisor", [{"point": "0", "coeff": "-1/2"}, {"point": "inf", "coeff": "-3/2"}]),
         ("base", "P1"),
         ("lattice_rank", 5),
         ("lattice_rank", True),

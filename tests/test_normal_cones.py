@@ -7,7 +7,6 @@ independent square-or-tall subsystem exactly.  sympy's simplex (1.14) is no
 oracle here: on these small systems it returns points that violate the
 equality constraints it was given.
 """
-import math
 from fractions import Fraction as F
 from itertools import combinations
 
@@ -20,11 +19,9 @@ from polysing.polyhedra import (
     make_cone,
     minkowski_sum,
     normal_rays,
-    polytope_vertices,
     sigma_polyhedron,
     support_value,
 )
-from polysing.singcheck import _ybox
 
 pytest.importorskip("hypothesis")
 
@@ -174,33 +171,3 @@ def test_resumed_sweep_matches_full_sweep(data):
     rest = data.draw(st.permutations(rest))
     full = _dd_halfspaces(list(tail.generators) + rest, n)
     assert _dd_halfspaces(rest, n, (halfspaces(tail), tail.generators)) == full
-
-
-def _reference_ybox(image_gens, deg_y, bound, m_free):
-    """The transversal box by the V/H round trip: the cone of the images, its
-    half-spaces plus the degree bound, and the vertices of that polytope."""
-    cone_y = make_cone([g for g in image_gens if any(g)], m_free)
-    rows = [tuple(F(x) for x in h) for h in halfspaces(cone_y)]
-    rhs = [F(0)] * len(rows)
-    rows.append(tuple(-F(x) for x in deg_y))
-    rhs.append(F(-bound))
-    verts = polytope_vertices(rows, rhs, m_free)
-    return [
-        (math.ceil(min(v[j] for v in verts)), math.floor(max(v[j] for v in verts)))
-        for j in range(m_free)
-    ]
-
-
-@GEOMETRY
-@given(st.data())
-def test_ybox_matches_vertex_enumeration(data):
-    m = data.draw(st.integers(1, 3))
-    deg_y = data.draw(st.tuples(*[small_fracs] * m).filter(any))
-    vecs = st.lists(st.integers(-4, 4), min_size=m, max_size=m)
-    gens = data.draw(st.lists(vecs, min_size=1, max_size=5))
-    # a projected cell: the degree is positive on every nonzero image
-    gens = [g for g in gens if not any(g) or sum(a * b for a, b in zip(deg_y, g)) > 0]
-    if not any(any(g) for g in gens):
-        return
-    bound = data.draw(st.fractions(min_value=0, max_value=6, max_denominator=12))
-    assert _ybox(gens, deg_y, bound, m) == _reference_ybox(gens, deg_y, bound, m)

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from polysing.cli import parse_document
 from polysing.divclass import gorenstein_solve
 from polysing.errors import NotQGorensteinError, UnsupportedBase, UnsupportedRank
 from polysing.pdiv import (
@@ -11,11 +12,13 @@ from polysing.pdiv import (
     Point,
     evaluate,
     floor_degree,
+    is_proper,
     polyhedral_divisor,
 )
 from polysing.polyhedra import make_cone, sigma_polyhedron, tail_polyhedron
 from polysing.ratlin import invert_unimodular, saturated_basis
 from polysing.singcheck import (
+    DEFAULT_BUDGET,
     _adapted_basis,
     boundary_data,
     check_cm,
@@ -230,6 +233,21 @@ def test_classify_canonical_regraded_a2(rk1):
     assert (c.label, c.param, c.index) == ("A", 2, 1)
 
 
+def test_classify_canonical_mirrored_tail():
+    """Mirroring the lattice (tail ray -1, vertices negated) keeps the label
+    and index and negates u0."""
+    for fracs in ([F(1)], [F(3, 2)], [F(1), F(1, 3)], [F(1, 2), F(1, 6)], [F(1, 2), F(1, 2), F(-1, 3)]):
+        pts = [Point.infinity(), Point.coord(0), Point.coord(1)]
+        verdicts = []
+        for sign in (1, -1):
+            tail = make_cone([(sign,)], 1)
+            coeffs = {p: sigma_polyhedron([(sign * c,)], tail) for p, c in zip(pts, fracs)}
+            verdicts.append(classify_canonical(polyhedral_divisor(P1, tail, coeffs)))
+        plain, mirrored = verdicts
+        assert (mirrored.label, mirrored.param, mirrored.index) == (plain.label, plain.param, plain.index)
+        assert mirrored.u0 == -plain.u0
+
+
 def test_classify_canonical_rejects_rank2(ex1):
     with pytest.raises(UnsupportedRank):
         classify_canonical(ex1)
@@ -332,6 +350,10 @@ def test_rational_budget_inconclusive(ex1):
     v = cr(ex1, budget=1)
     assert v.status == "inconclusive"
     assert "budget" in v.reason
+    # each transversal point costs a slab of ell^k points: ex1 folds two
+    # points by the period 6
+    assert cr(ex1, budget=11).status == "inconclusive"
+    assert cr(ex1, budget=12).witness == {"u": [1, 0], "floor_degree": -1}
 
 
 def test_adapted_basis_carries_its_inverse():
@@ -345,3 +367,76 @@ def test_adapted_basis_carries_its_inverse():
         basis, inverse, k = _adapted_basis(gens, n)
         assert basis[:k] == saturated_basis(gens, n)
         assert [list(r) for r in inverse] == invert_unimodular(basis)
+
+
+def test_rational_budget_counts_lattice_points():
+    """The budget counts the lattice points of the cut cell, not those of a
+    bounding box: two points per cell decide this divisor."""
+    doc = {
+        "format": 1,
+        "lattice_rank": 2,
+        "tail_rays": [[1, 0], [0, 1], [1, -1]],
+        "coefficients": [
+            {"point": "inf", "vertices": [["0", "317/60"]]},
+            {"point": "0", "vertices": [["-1", "-2"], ["1/6", "3/5"], ["1/2", "2/3"]]},
+            {"point": "1", "vertices": [["3/2", "-7/4"]]},
+            {"point": "2", "vertices": [["0", "2"], ["1/4", "-4/3"]]},
+        ],
+    }
+    witness = {"u": [1, 1], "floor_degree": -1}
+    for budget in (2, DEFAULT_BUDGET):
+        v = check_rational(parse_document(doc)["data"], budget=budget)
+        assert (v.status, v.witness) == ("yes", witness)
+
+
+def _degree_zero_face_family(count):
+    """ex1-shaped rank-2 divisors: a vertical edge at 0 and 2-4 points with a
+    single vertex on the first axis, so the degree vanishes on the quasifan
+    ray (1, 0) and the scan folds along it."""
+    rng = random.Random(7)
+    sigma = make_cone([(1, 0), (1, 6)], 2)
+    for _ in range(count):
+        others = [Point.infinity(), Point.coord(1), Point.coord(2), Point.coord(3)]
+        others = others[: rng.randint(2, 4)]
+        a = []
+        for _ in others:
+            q = rng.randint(2, 12)
+            a.append(F(rng.randint(1, q - 1), q))
+        c = sum(a) + F(rng.randint(1, 6), 6)
+        t = rng.randint(1, 3)
+        coeffs = {Point.coord(0): sigma_polyhedron([(c, 0), (c, t)], sigma)}
+        coeffs.update((p, sigma_polyhedron([(-x, 0)], sigma)) for p, x in zip(others, a))
+        yield polyhedral_divisor(P1, sigma, coeffs)
+
+
+def test_rational_scan_on_degree_zero_faces(monkeypatch):
+    """Every verdict through cells that meet the degree-zero face (k > 0)
+    agrees with floor degrees evaluated directly."""
+    import polysing.singcheck as sc
+
+    ks = []
+    adapted = sc._adapted_basis
+
+    def spy(f_gens, n):
+        out = adapted(f_gens, n)
+        ks.append(out[2])
+        return out
+
+    monkeypatch.setattr(sc, "_adapted_basis", spy)
+    window = [(u1, u2) for u1 in range(13) for u2 in range(-12, 13) if u1 + 6 * u2 >= 0]
+    verdicts = {"yes": 0, "no": 0}
+    for d in _degree_zero_face_family(300):
+        if not is_proper(d):
+            continue
+        v = check_rational(d)
+        assert v.status in verdicts
+        verdicts[v.status] += 1
+        if v.witness is not None:
+            u, val = v.witness["u"], v.witness["floor_degree"]
+            assert floor_degree(evaluate(d, u))[1] == val
+        if v.status == "no":
+            assert val < -1
+        else:
+            assert all(floor_degree(evaluate(d, u))[1] >= -1 for u in window)
+    assert verdicts["yes"] > 50 and verdicts["no"] > 50
+    assert any(k > 0 for k in ks)
