@@ -524,7 +524,8 @@ def _parse_kdiv(text: str, base: Curve) -> QDivisor:
 
 def _require_kind(doc: dict, kind: str, path) -> object:
     if doc["kind"] != kind:
-        raise ParseError(f"expected a {kind} document", str(path))
+        article = "an" if kind[0] in "aeiou" else "a"
+        raise ParseError(f"expected {article} {kind} document", str(path))
     return doc["data"]
 
 

@@ -2,10 +2,12 @@
 
 Everything is exact: cones are given by primitive integer generators, polyhedra
 by rational vertices plus a tail cone.  Half-space descriptions are derived on
-demand by a double description sweep; the ambient rank is capped at 4.  Every
-normal cone (which candidates are vertices, the vertices of a Minkowski sum,
-point membership, ray meeting and the quasifan cells) comes from one sweep per
-joint vertex selection, `_normal_cones`.
+demand by one double description sweep per cone, and extreme rays from it by an
+active-set rank test.  Only `dual_cone` and `normal_quasifan` cap the rank at
+4; `construct` builds divisors of rank 7-8.  Every normal cone (which
+candidates are vertices, the vertices of a Minkowski sum, point membership,
+ray meeting and the quasifan cells) comes from one integer sweep per joint
+vertex selection, `_normal_cones`.
 """
 from __future__ import annotations
 
@@ -72,16 +74,24 @@ def _check_rank(n: int) -> None:
         raise UnsupportedRank(f"ambient rank {n} exceeds the supported cap {RANK_CAP}")
 
 
+def _extreme_rays(gens, normals, n: int) -> tuple[tuple[int, ...], ...]:
+    """The g in gens whose vanishing normals have rank at least n - 1 (Fukuda &
+    Prodon).  When the normals have rank n, {v : <h, v> >= 0, h in normals} is
+    pointed, and of its nonzero g these are exactly those on extreme rays."""
+    return tuple(g for g in gens if matrix_rank([h for h in normals if dot(h, g) == 0]) >= n - 1)
+
+
 def _dd_halfspaces(
     constraints: Sequence[tuple[int, ...]], rank: int, resume: tuple | None = None
 ) -> tuple[tuple[int, ...], ...]:
     """Generators of {u : <a, u> >= 0 for all a} by double description.
 
-    After each constraint the candidate set is pruned with the active-set rank
-    test, which never discards a needed generator (it may keep redundant ones
-    when the cone has lineality).  `resume` = (rays, done) continues a sweep
-    that has processed the distinct primitive constraints `done` and holds
-    the candidates `rays`; by default the sweep starts from the whole space.
+    Above 2 * rank + 4 candidates they are pruned by `_extreme_rays` against
+    the constraints so far, which never discards a needed generator; redundant
+    ones survive at or below that size, and with lineality.  `resume` =
+    (rays, done) continues a sweep that has processed the distinct primitive
+    constraints `done` and holds the candidates `rays`; by default the sweep
+    starts from the whole space.
     """
     if resume is None:
         resume = ([tuple(s * (j == i) for j in range(rank)) for i in range(rank) for s in (1, -1)], ())
@@ -100,19 +110,11 @@ def _dd_halfspaces(
                 if any(comb):
                     new.add(comb)
         done.append(a)
-        if len(new) <= 2 * rank + 4:
+        rays = sorted(new)
+        if len(rays) > 2 * rank + 4:
             # keeping a few redundant generators is harmless; prune only when
             # the candidate set could start compounding
-            rays = sorted(new)
-            continue
-        r_done = matrix_rank(done)
-        kept = []
-        for r in sorted(new):
-            active = [c for c in done if dot(c, r) == 0]
-            rank_active = matrix_rank(active) if active else 0
-            if rank_active >= r_done - 1:
-                kept.append(r)
-        rays = kept
+            rays = _extreme_rays(rays, done, matrix_rank(done))
     return tuple(sorted(rays))
 
 
@@ -128,17 +130,15 @@ def cone_contains(c: Cone, v: Sequence) -> bool:
 
 @lru_cache(maxsize=CONE_CACHE_SIZE)
 def minimal_generators(c: Cone) -> tuple[tuple[int, ...], ...]:
-    """Greedy minimal generating subset (the extreme rays when c is pointed)."""
-    gens = list(c.generators)
-    kept = list(gens)
-    for g in gens:
+    """Extreme rays of a pointed c, by one DD; else a greedy minimal generating subset."""
+    if is_pointed(c):
+        return _extreme_rays(c.generators, halfspaces(c), c.ambient_rank)
+    kept = list(c.generators)
+    for g in c.generators:
         others = [x for x in kept if x != g]
-        if not others:
-            continue
-        sub = Cone(c.ambient_rank, tuple(sorted(others)))
-        if cone_contains(sub, g):
+        if others and cone_contains(Cone(c.ambient_rank, tuple(others)), g):
             kept = others
-    return tuple(sorted(kept))
+    return tuple(kept)
 
 
 def dual_cone(c: Cone) -> Cone:
@@ -218,20 +218,26 @@ class SigmaPolyhedron:
     numerators: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        den = math.lcm(*[x.denominator for v in self.vertices for x in v])
-        rows = tuple(tuple(x.numerator * (den // x.denominator) for x in v) for v in self.vertices)
+        den, rows = _integer_rows(self.vertices)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "numerators", rows)
+
+
+def _integer_rows(vertices) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The common denominator of the vertices and their numerators over it."""
+    den = math.lcm(*[x.denominator for v in vertices for x in v])
+    return den, tuple(tuple(x.numerator * (den // x.denominator) for x in v) for v in vertices)
 
 
 def _rat_vec(v: Sequence) -> tuple[Fraction, ...]:
     return tuple(Fraction(x) for x in v)
 
 
-def _normal_cones(vertex_sets: Sequence[Sequence[tuple[Fraction, ...]]], tail: Cone):
-    """Yield (selection, generators) for each joint selection of one vertex per
-    set: the generators span the functionals in the dual of the tail that every
-    selected vertex minimizes over its set.
+def _normal_cones(vertex_sets, tail: Cone):
+    """Yield (selection, constraints, generators) for each joint selection of
+    one vertex per set of (vertices, integer rows over one denominator): the
+    generators span the functionals in the dual of the tail that every
+    selected vertex minimizes over its set, cut out by the constraints w - v.
 
     The tail constraints go first, so the sweep starts from the dual of the
     tail, which is pointed for a full-dimensional tail.  That state is the
@@ -239,19 +245,19 @@ def _normal_cones(vertex_sets: Sequence[Sequence[tuple[Fraction, ...]]], tail: C
     generators are already distinct and primitive).
     """
     start = (halfspaces(tail), tail.generators)
-    for selection in product(*vertex_sets):
-        constraints = []
-        for vs, v in zip(vertex_sets, selection):
-            constraints += [scale_to_int(vec_sub(w, v)) for w in vs if w != v]
-        yield selection, _dd_halfspaces(constraints, tail.ambient_rank, start)
+    # cuts[i][j] holds the constraints of vertex j of set i, built once for every selection
+    cuts = [[[primitive(vec_sub(w, r)) for w in rows if w != r] for r in rows] for _, rows in vertex_sets]
+    for selection, picks in zip(product(*[vs for vs, _ in vertex_sets]), product(*cuts)):
+        constraints = [a for cs in picks for a in cs]
+        yield selection, constraints, _dd_halfspaces(constraints, tail.ambient_rank, start)
 
 
 def _true_vertices(
     candidates: Sequence[tuple[Fraction, ...]], tail: Cone
 ) -> tuple[tuple[Fraction, ...], ...]:
-    n = tail.ambient_rank
-    cones = _normal_cones([sorted(set(candidates))], tail)
-    return tuple(sel[0] for sel, gens in cones if matrix_rank(gens) == n)
+    vs = sorted(set(candidates))
+    cones = _normal_cones([(vs, _integer_rows(vs)[1])], tail)
+    return tuple(sel[0] for sel, _, gens in cones if matrix_rank(gens) == tail.ambient_rank)
 
 
 def sigma_polyhedron(vertices: Iterable[Sequence], tail: Cone) -> SigmaPolyhedron:
@@ -293,7 +299,7 @@ def normal_rays(p: SigmaPolyhedron):
     """Yield the generators of the normal cones of the vertices of p, vertex by
     vertex and possibly repeated: a point z lies in p iff <u, z> >= min <u, p>
     for every one of them."""
-    for _, gens in _normal_cones([p.vertices], p.tail):
+    for _, _, gens in _normal_cones([(p.vertices, p.numerators)], p.tail):
         yield from gens
 
 
@@ -303,9 +309,9 @@ def minkowski_sum(a: SigmaPolyhedron, b: SigmaPolyhedron) -> SigmaPolyhedron:
     if a.tail != b.tail:
         raise TailMismatch("Minkowski summands must share one tail cone")
     n = a.tail.ambient_rank
-    cones = _normal_cones([a.vertices, b.vertices], a.tail)
+    cones = _normal_cones([(a.vertices, a.numerators), (b.vertices, b.numerators)], a.tail)
     return SigmaPolyhedron(
-        tuple(sorted(vec_add(v, w) for (v, w), gens in cones if matrix_rank(gens) == n)), a.tail
+        tuple(sorted(vec_add(v, w) for (v, w), _, gens in cones if matrix_rank(gens) == n)), a.tail
     )
 
 
@@ -348,17 +354,23 @@ class QuasiFan:
 
 def normal_quasifan(coeffs: Sequence[SigmaPolyhedron], sigma: Cone) -> QuasiFan:
     """Subdivision of the dual of sigma into the loci where one joint vertex
-    selection minimizes every coefficient."""
+    selection minimizes every coefficient.  For a full-dimensional sigma the
+    cells are pointed: their sweeps' own constraints pick the extreme rays."""
     n = sigma.ambient_rank
     _check_rank(n)
     for p in coeffs:
         if p.tail != sigma:
             raise TailMismatch("coefficients must have tail cone sigma")
-    cells = [
-        QuasiCell(Cone(n, minimal_generators(Cone(n, gens))), selection)
-        for selection, gens in _normal_cones([p.vertices for p in coeffs], sigma)
-        if matrix_rank(gens) == n
-    ]
+    solid = cone_dim(sigma) == n
+    cells = []
+    for selection, cs, gens in _normal_cones([(p.vertices, p.numerators) for p in coeffs], sigma):
+        if matrix_rank(gens) != n:
+            continue
+        if solid:
+            rays = _extreme_rays(gens, [*sigma.generators, *cs], n)
+        else:
+            rays = minimal_generators(Cone(n, gens))
+        cells.append(QuasiCell(Cone(n, rays), selection))
     return QuasiFan(tuple(sorted(cells, key=lambda c: c.cone.generators)))
 
 

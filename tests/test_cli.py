@@ -343,6 +343,20 @@ def test_cli_command_input_error_exit(tmp_path, data_dir, command, doc, extra):
     assert "DegenerateInput" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "command, doc, needle",
+    [
+        ("present", "a2.json", "expected an admissible document"),
+        ("analyze", "admissible_e8.json", "expected a divisor document"),
+    ],
+)
+def test_cli_wrong_document_kind_exit(data_dir, command, doc, needle):
+    proc = run_cli([command, str(data_dir / doc)])
+    assert proc.returncode == EXIT_PARSE_ERROR
+    assert "Traceback" not in proc.stderr
+    assert needle in proc.stderr
+
+
 def test_cli_internal_check_is_not_an_input_error(monkeypatch, data_dir):
     """A failed invariant is a bug: the command does not turn it into exit 3."""
 
