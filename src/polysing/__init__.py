@@ -40,7 +40,6 @@ from .polyhedra import (
     minkowski_sum,
     mu,
     normal_quasifan,
-    normal_rays,
     sigma_polyhedron,
     support_value,
 )

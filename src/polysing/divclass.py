@@ -326,15 +326,6 @@ def generator_degrees(d: PolyhedralDivisor, target) -> tuple[tuple[int, ...], QD
     return tuple(int(x) for x in u), f_div
 
 
-def principal_on_base(d: PolyhedralDivisor, div: QDivisor) -> bool:
-    """Principality test for the bases where it is decidable internally."""
-    if d.base.kind == PROJECTIVE_LINE:
-        return div.is_integral() and div.degree == 0
-    if d.base.kind == AFFINE_LINE:
-        return div.is_integral()
-    raise UnsupportedBase("principality on a genus >= 1 curve needs curve arithmetic")
-
-
 def require_gorenstein(res: GorensteinResult) -> GorensteinSolution:
     if isinstance(res, NotQGorenstein):
         raise NotQGorensteinError(res.reason)

@@ -13,7 +13,6 @@ from .polyhedra import (
     Cone,
     QuasiFan,
     SigmaPolyhedron,
-    cone_contains,
     dual_cone,
     halfspaces,
     is_pointed,
@@ -21,7 +20,6 @@ from .polyhedra import (
     minimal_generators,
     minkowski_sum,
     normal_quasifan,
-    normal_rays,
     support_value,
     tail_polyhedron,
 )
@@ -226,9 +224,9 @@ def floor_degree(div: QDivisor) -> tuple[Fraction, int]:
     return deg, int(fdeg)
 
 
-@_memoized
 def deg_polyhedron(d: PolyhedralDivisor) -> SigmaPolyhedron:
-    """Minkowski sum of all coefficients (projective base only)."""
+    """Minkowski sum of all coefficients (projective base only).  The analysis
+    reads deg D through `_deg_value` instead; this fold is the reference."""
     if not d.base.projective:
         raise UnsupportedBase("deg is defined over a projective base")
     total = tail_polyhedron(d.tail)
@@ -253,13 +251,21 @@ class Properness:
         return self.status == "proper"
 
 
+def _deg_value(d: PolyhedralDivisor, u: Sequence) -> Fraction:
+    """min <u, deg D> = sum over the support of min <u, D_p>, for u in the
+    dual of the tail: the support function of deg D without its polyhedron."""
+    return sum((support_value(poly, u)[0] for _, poly in support(d)), Fraction(0))
+
+
 @_memoized
 def is_proper(d: PolyhedralDivisor) -> Properness:
     """Semi-ampleness plus bigness on the interior of the dual tail cone.
 
     On P^1 this amounts to deg D lying in the tail cone without containing the
-    origin; degree-zero pieces on a genus >= 1 base are undecidable without
-    curve arithmetic and come back as inconclusive.
+    origin, decided by support values of deg D at the tail's half-spaces and
+    at their sum, which is interior to the dual; degree-zero pieces on a
+    genus >= 1 base are undecidable without curve arithmetic and come back as
+    inconclusive.
     """
     if not d.base.projective:
         return Properness("proper")
@@ -269,20 +275,21 @@ def is_proper(d: PolyhedralDivisor) -> Properness:
         return Properness("not_proper", tuple(0 for _ in range(sigma.ambient_rank)))
     if not support(d):
         return Properness("not_proper", _interior_sample(sigma))
-    degp = deg_polyhedron(d)
     if d.base.kind == PROJECTIVE_LINE:
-        for v in degp.vertices:
-            if not cone_contains(sigma, v):
-                h = next(h for h in halfspaces(sigma) if dot(h, v) < 0)
+        hs = halfspaces(sigma)
+        for h in hs:
+            if _deg_value(d, h) < 0:
                 return Properness("not_proper", h)
-        # the origin lies in deg D iff no normal ray has a positive minimum there
-        if all(support_value(degp, u)[0] <= 0 for u in normal_rays(degp)):
+        # deg D lies in sigma, so it holds the origin iff its minimum at the
+        # interior functional sum(hs) is 0
+        inner = tuple(sum(h[i] for h in hs) for i in range(sigma.ambient_rank))
+        if _deg_value(d, inner) <= 0:
             return Properness("not_proper", _interior_sample(sigma))
         return Properness("proper")
     # genus >= 1: decide by degrees alone
     status = "proper"
     for g in dual_cone(sigma).generators:
-        val, _ = support_value(degp, g)
+        val = _deg_value(d, g)
         if val < 0:
             return Properness("not_proper", g)
         if val == 0:
@@ -309,27 +316,6 @@ class ExtremalData:
     vertices: tuple[tuple[Point, tuple[Fraction, ...], int], ...]  # (point, vertex, mu)
 
 
-def _ray_meets_polyhedron(
-    ray: tuple[int, ...], p: SigmaPolyhedron, normals: set[tuple[int, ...]]
-) -> bool:
-    """Does {t * ray : t >= 0} intersect p?  Reduced to a 1-dim interval check
-    over the normal rays of p."""
-    lo = Fraction(0)
-    hi = None
-    for u in normals:
-        a = Fraction(dot(u, ray))
-        b, _ = support_value(p, u)
-        if a == 0:
-            if b > 0:
-                return False
-        elif a > 0:
-            lo = max(lo, b / a)
-        else:
-            bound = b / a
-            hi = bound if hi is None else min(hi, bound)
-    return hi is None or lo <= hi
-
-
 @_memoized
 def extremal_data(d: PolyhedralDivisor) -> ExtremalData:
     """Which tail rays survive on the contracted variety; every vertex does."""
@@ -341,11 +327,14 @@ def extremal_data(d: PolyhedralDivisor) -> ExtremalData:
             verts.append((p, v, mu(v)))
     if not d.base.projective:
         return ExtremalData(tuple(rays), (), tuple(verts))
-    degp = deg_polyhedron(d)
-    normals = set(normal_rays(degp))
+    # r meets deg D iff min <u_r, deg D> = 0 for u_r interior to the face of
+    # the dual tail that vanishes on r; in rank 1, u_r = 0
+    hs = halfspaces(d.tail)
+    n = rank(d)
     ext, non_ext = [], []
     for r in rays:
-        (non_ext if _ray_meets_polyhedron(r, degp, normals) else ext).append(r)
+        u_r = tuple(sum(h[i] for h in hs if dot(h, r) == 0) for i in range(n))
+        (non_ext if _deg_value(d, u_r) == 0 else ext).append(r)
     return ExtremalData(tuple(ext), tuple(non_ext), tuple(verts))
 
 

@@ -5,9 +5,9 @@ by rational vertices plus a tail cone.  Half-space descriptions are derived on
 demand by one double description sweep per cone, and extreme rays from it by an
 active-set rank test.  Only `dual_cone` and `normal_quasifan` cap the rank at
 4; `construct` builds divisors of rank 7-8.  Every normal cone (which
-candidates are vertices, the vertices of a Minkowski sum, point membership,
-ray meeting and the quasifan cells) comes from one integer sweep per joint
-vertex selection, `_normal_cones`.
+candidates are vertices, the vertices of a Minkowski sum and the quasifan
+cells) comes from one integer sweep per joint vertex selection,
+`_normal_cones`.
 """
 from __future__ import annotations
 
@@ -293,14 +293,6 @@ def support_value(p: SigmaPolyhedron, u: Sequence) -> tuple[Fraction, tuple[tupl
     values = [dot(u, row) for row in p.numerators]
     best = min(values)
     return Fraction(best, p.den), tuple(v for val, v in zip(values, p.vertices) if val == best)
-
-
-def normal_rays(p: SigmaPolyhedron):
-    """Yield the generators of the normal cones of the vertices of p, vertex by
-    vertex and possibly repeated: a point z lies in p iff <u, z> >= min <u, p>
-    for every one of them."""
-    for _, _, gens in _normal_cones([(p.vertices, p.numerators)], p.tail):
-        yield from gens
 
 
 def minkowski_sum(a: SigmaPolyhedron, b: SigmaPolyhedron) -> SigmaPolyhedron:

@@ -400,6 +400,31 @@ def test_rank4_orthant_analysis_finishes():
         assert "error" not in res[criterion], res[criterion]
 
 
+@pytest.mark.parametrize(
+    "multiplicities",
+    [[[6, 6, 3], [4, 6], [1, 1, 6], [3, 5, 4]], [[6], [5, 6, 1], [3, 3, 1], [6, 2, 3]]],
+    ids=["rank8", "rank7"],
+)
+def test_high_rank_construct_finishes(tmp_path, capsys, multiplicities):
+    """`construct` on admissible data of extra rank 8 and 7 finishes within
+    3 s: properness and the extremal rays need no degree polyhedron."""
+    path = tmp_path / "admissible.json"
+    path.write_text(json.dumps({"format": 1, "entries": [{"mu": m} for m in multiplicities]}))
+
+    def expire(signum, frame):
+        raise TimeoutError("construct ran past 3 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 3)
+    try:
+        code = main(["construct", str(path), "--report", "json"])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0
+    assert abs(json.loads(capsys.readouterr().out)["determinant"]) == 1
+
+
 TWO_DIM_TAIL = {
     "format": 1,
     "lattice_rank": 3,

@@ -102,6 +102,15 @@ def divisor_documents(draw, rank):
 
 documents = st.one_of(json_trees, divisor_documents(1), divisor_documents(2))
 
+# admissible data in the range the construction is documented for: up to four
+# entries, extra rank (the sum of len(mu) - 1) at most 3; a multiplicity 0 or
+# non-coprime gcds must be refused, not crash
+admissible_documents = (
+    st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=4), min_size=1, max_size=4)
+    .filter(lambda mus: sum(len(m) - 1 for m in mus) <= 3)
+    .map(lambda mus: {"format": 1, "entries": [{"mu": m} for m in mus]})
+)
+
 # a canonical divisor of degree 6 on a2.json's divisor must be refused
 DEGREE_SIX_CANONICAL = {
     "format": 1,
@@ -148,3 +157,11 @@ def test_cli_exit_codes_on_arbitrary_documents(doc_path, doc, report):
         code = _run([*command, str(doc_path), "--report", report])
         assert code in (0, 2, 3), (command, doc)
 
+
+@FUZZ
+@given(doc=admissible_documents)
+def test_cli_exit_codes_on_admissible_data(doc_path, doc):
+    doc_path.write_text(json.dumps(doc))
+    for command in COMMANDS:
+        code = _run([*command, str(doc_path), "--report", "json"])
+        assert code in (0, 2, 3), (command, doc)

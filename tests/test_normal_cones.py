@@ -1,4 +1,7 @@
-"""The normal-cone routines against an exact convex-hull oracle written here.
+"""The normal-cone routines, and the properness and extremal-ray decisions
+that work from support values alone, against an exact convex-hull oracle
+written here.  For divisors on P^1 the reference degree polyhedron is the
+Minkowski fold `deg_polyhedron`.
 
 The oracle decides target in conv(points) + cone(rays) by Caratheodory's
 theorem: (1, target) is then a nonnegative combination of linearly
@@ -12,13 +15,20 @@ from itertools import combinations
 
 import pytest
 
-from polysing.pdiv import P1, Point, _ray_meets_polyhedron, is_proper, polyhedral_divisor
+from polysing.pdiv import (
+    P1,
+    Point,
+    deg_polyhedron,
+    extremal_data,
+    is_proper,
+    polyhedral_divisor,
+)
 from polysing.polyhedra import (
     _dd_halfspaces,
     halfspaces,
     make_cone,
+    minimal_generators,
     minkowski_sum,
-    normal_rays,
     sigma_polyhedron,
     support_value,
 )
@@ -105,27 +115,102 @@ def test_minkowski_sum_matches_pruned_sums(case, data):
     assert minkowski_sum(a, b) == sigma_polyhedron(sums, tail)
 
 
-@GEOMETRY
-@given(polyhedra_cases())
-def test_origin_membership_matches_hull(case):
-    """The origin test `is_proper` runs on the degree polyhedron."""
-    tail, cands = case
-    p = sigma_polyhedron(cands, tail)
-    zero = (0,) * tail.ambient_rank
-    inside = all(support_value(p, u)[0] <= 0 for u in normal_rays(p))
-    assert inside == _in_hull(zero, p.vertices, tail.generators)
+# pointed tails of rank 1 to 3: simplicial, not simplicial, not full-dimensional
+P1_TAILS = [
+    make_cone([(1,)]),
+    make_cone([(-1,)]),
+    make_cone([(1, 0), (1, 6)]),
+    make_cone([(2, -1), (0, 1)]),
+    make_cone([(1, 1)], 2),
+    make_cone([(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+    make_cone([(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)]),
+    make_cone([(1, 0, 1), (0, 1, 2), (-1, 1, 1)]),
+    make_cone([(1, 2, 0), (2, -1, 1)]),
+]
+
+
+@st.composite
+def p1_divisors(draw, into_tail, proper=False):
+    """A divisor on P^1 of rank 1 to 3 with two or three support points.
+
+    With `into_tail` each coefficient is an offset plus nonnegative
+    combinations of tail generators, and the offsets sum to zero, so deg D
+    lies in the tail; with `proper` as well, every vertex at the last point
+    puts weight at least 1 on some generator, so deg D misses the origin."""
+    tail = draw(st.sampled_from(P1_TAILS))
+    n, gens = tail.ambient_rank, tail.generators
+    points = [Point.infinity(), Point.coord(0), Point.coord(1)][: draw(st.integers(2, 3))]
+    # weights on a subset of the generators put the vertices on a face of the tail
+    face = draw(st.sets(st.integers(0, len(gens) - 1), min_size=1))
+    weights = st.lists(
+        st.fractions(min_value=0, max_value=2, max_denominator=3), min_size=len(gens), max_size=len(gens)
+    )
+    offsets = [draw(st.tuples(*[small_fracs] * n)) for _ in points[1:]]
+    offsets.insert(0, tuple(-sum(o[i] for o in offsets) for i in range(n)))
+    coeffs = {}
+    for k, (p, offset) in enumerate(zip(points, offsets)):
+        count = draw(st.integers(1, 3))
+        if not into_tail:
+            cands = draw(st.lists(st.tuples(*[small_fracs] * n), min_size=count, max_size=count))
+        else:
+            cands = []
+            for _ in range(count):
+                w = [c if j in face else 0 for j, c in enumerate(draw(weights))]
+                if proper and k == len(points) - 1:
+                    w[draw(st.sampled_from(sorted(face)))] += 1
+                cands.append(tuple(offset[i] + sum(c * g[i] for c, g in zip(w, gens)) for i in range(n)))
+        coeffs[p] = sigma_polyhedron(cands, tail)
+    return polyhedral_divisor(P1, tail, coeffs)
+
+
+def _in_tail(degp):
+    zero = (0,) * degp.tail.ambient_rank
+    return all(_in_hull(v, [zero], degp.tail.generators) for v in degp.vertices)
 
 
 @GEOMETRY
-@given(polyhedra_cases(), st.data())
-def test_ray_meeting_matches_hull(case, data):
-    tail, cands = case
-    n = tail.ambient_rank
-    p = sigma_polyhedron(cands, tail)
-    ray = data.draw(st.tuples(*[st.integers(-2, 2)] * n).filter(any))
-    # t * ray lies in p for some t >= 0 iff the origin lies in p + cone(-ray)
-    expected = _in_hull((0,) * n, p.vertices, list(tail.generators) + [tuple(-x for x in ray)])
-    assert _ray_meets_polyhedron(ray, p, set(normal_rays(p))) == expected
+@given(st.data())
+def test_origin_membership_matches_hull(data):
+    """On P^1, proper iff deg D lies in the tail cone and misses the origin;
+    `is_proper` decides both from sums of support values."""
+    d = data.draw(p1_divisors(into_tail=data.draw(st.booleans())))
+    degp = deg_polyhedron(d)
+    zero = (0,) * d.tail.ambient_rank
+    proper = _in_tail(degp) and not _in_hull(zero, degp.vertices, d.tail.generators)
+    assert (is_proper(d).status == "proper") == proper
+
+
+@GEOMETRY
+@given(p1_divisors(into_tail=True, proper=True))
+def test_ray_meeting_matches_hull(d):
+    """An extreme ray of the tail is non-extremal iff it meets deg D."""
+    degp = deg_polyhedron(d)
+    assert is_proper(d)
+    ext = extremal_data(d)
+    n = d.tail.ambient_rank
+    assert sorted(ext.extremal_rays + ext.non_extremal_rays) == sorted(minimal_generators(d.tail))
+    for ray in ext.extremal_rays + ext.non_extremal_rays:
+        # t * ray lies in deg D for some t >= 0 iff the origin lies in deg D + cone(-ray)
+        meets = _in_hull((0,) * n, degp.vertices, list(d.tail.generators) + [tuple(-x for x in ray)])
+        assert (ray in ext.non_extremal_rays) == meets
+
+
+@GEOMETRY
+@given(st.data())
+def test_not_proper_witness_certifies(data):
+    """A not-proper witness h is negative on deg D when deg D leaves the tail
+    cone; otherwise deg D holds the origin and h, interior to the dual of the
+    tail, attains 0 there."""
+    d = data.draw(p1_divisors(into_tail=data.draw(st.booleans())))
+    res = is_proper(d)
+    if res.status != "not_proper":
+        return
+    degp = deg_polyhedron(d)
+    value, _ = support_value(degp, res.witness)
+    if _in_tail(degp):
+        assert value == 0
+    else:
+        assert value < 0
 
 
 @pytest.mark.parametrize("into_tail", [False, True])
