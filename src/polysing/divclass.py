@@ -114,12 +114,11 @@ def _class_smith(d: PolyhedralDivisor) -> SmithForm:
 
 @dataclass(frozen=True)
 class ClassGroup:
-    """Invariant factors of Cl(X); smith decomposes the divisor-class system."""
+    """Invariant factors of Cl(X)."""
 
     torsion: tuple[int, ...]
     free_rank: int
     q_factorial: bool
-    smith: SmithForm
 
 
 @_memoized
@@ -148,7 +147,7 @@ def class_group(d: PolyhedralDivisor) -> ClassGroup:
         count_ok = r_cl + per_point + len(data.extremal_rays) == data.n
         if q_fact != count_ok:
             raise InternalCheck("Smith rank and ray/vertex count disagree")
-    return ClassGroup(torsion, free, q_fact, sf)
+    return ClassGroup(torsion, free, q_fact)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from .polyhedra import (
     support_value,
     tail_polyhedron,
 )
-from .ratlin import dot, mu, primitive
+from .ratlin import dot, primitive
 
 PROJECTIVE_LINE = "P1"
 AFFINE_LINE = "A1"
@@ -313,7 +313,6 @@ def require_proper(d: PolyhedralDivisor) -> None:
 class ExtremalData:
     extremal_rays: tuple[tuple[int, ...], ...]
     non_extremal_rays: tuple[tuple[int, ...], ...]
-    vertices: tuple[tuple[Point, tuple[Fraction, ...], int], ...]  # (point, vertex, mu)
 
 
 @_memoized
@@ -321,12 +320,8 @@ def extremal_data(d: PolyhedralDivisor) -> ExtremalData:
     """Which tail rays survive on the contracted variety; every vertex does."""
     require_proper(d)
     rays = minimal_generators(d.tail)
-    verts = []
-    for p, poly in support(d):
-        for v in poly.vertices:
-            verts.append((p, v, mu(v)))
     if not d.base.projective:
-        return ExtremalData(tuple(rays), (), tuple(verts))
+        return ExtremalData(tuple(rays), ())
     # r meets deg D iff min <u_r, deg D> = 0 for u_r interior to the face of
     # the dual tail that vanishes on r; in rank 1, u_r = 0
     hs = halfspaces(d.tail)
@@ -335,7 +330,7 @@ def extremal_data(d: PolyhedralDivisor) -> ExtremalData:
     for r in rays:
         u_r = tuple(sum(h[i] for h in hs if dot(h, r) == 0) for i in range(n))
         (non_ext if _deg_value(d, u_r) == 0 else ext).append(r)
-    return ExtremalData(tuple(ext), tuple(non_ext), tuple(verts))
+    return ExtremalData(tuple(ext), tuple(non_ext))
 
 
 def higher_direct_dims(d: PolyhedralDivisor, u: Sequence[int]) -> tuple[int, int]:

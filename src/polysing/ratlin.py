@@ -86,13 +86,9 @@ def ext_gcd_multi(values: Sequence[int]) -> tuple[int, list[int]]:
     return g, coeffs
 
 
-def vec_gcd(v: Sequence[int]) -> int:
-    return math.gcd(*[abs(int(x)) for x in v]) if v else 0
-
-
 def primitive(v: Sequence[int]) -> tuple[int, ...]:
     """Divide an integer vector by the gcd of its entries (zero stays zero)."""
-    g = vec_gcd(v)
+    g = math.gcd(*v)
     if g == 0:
         return tuple(0 for _ in v)
     return tuple(int(x) // g for x in v)
@@ -123,11 +119,13 @@ def vec_sub(u: Sequence, v: Sequence) -> tuple:
 
 @dataclass(frozen=True)
 class SmithForm:
-    """U @ A @ V is diagonal with a divisibility chain; U, V unimodular."""
+    """U @ A @ V is diagonal with a divisibility chain; U, V unimodular, and
+    right_inverse is V^-1."""
 
     diagonal: tuple[int, ...]
     left: tuple[tuple[int, ...], ...]
     right: tuple[tuple[int, ...], ...]
+    right_inverse: tuple[tuple[int, ...], ...]
 
 
 def _identity(n):
@@ -135,11 +133,13 @@ def _identity(n):
 
 
 def smith_normal_form(a: Matrix) -> SmithForm:
-    """Smith normal form by gcd pivoting, tracking both unimodular transforms."""
+    """Smith normal form by gcd pivoting, tracking both unimodular transforms
+    and the inverse of the right one."""
     m, n = _dims(a)
     d = [[int(x) for x in row] for row in a]
     u = _identity(m)
     v = _identity(n)
+    vi = _identity(n)
 
     def row_op(i, j, q):  # row_i -= q * row_j
         d[i] = [x - q * y for x, y in zip(d[i], d[j])]
@@ -150,6 +150,7 @@ def smith_normal_form(a: Matrix) -> SmithForm:
             row[i] -= q * row[j]
         for row in v:
             row[i] -= q * row[j]
+        vi[j] = [x + q * y for x, y in zip(vi[j], vi[i])]
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
@@ -160,6 +161,7 @@ def smith_normal_form(a: Matrix) -> SmithForm:
             row[i], row[j] = row[j], row[i]
         for row in v:
             row[i], row[j] = row[j], row[i]
+        vi[i], vi[j] = vi[j], vi[i]
 
     def negate_row(i):
         d[i] = [-x for x in d[i]]
@@ -230,7 +232,7 @@ def smith_normal_form(a: Matrix) -> SmithForm:
                     negate_row(k + 1)
                 changed = True
     diag = tuple(d[k][k] for k in range(size))
-    return SmithForm(diag, tuple(tuple(r) for r in u), tuple(tuple(r) for r in v))
+    return SmithForm(diag, *(tuple(tuple(r) for r in t) for t in (u, v, vi)))
 
 
 def determinant(a: Matrix):
@@ -356,13 +358,10 @@ def saturated_basis(rows: Sequence[Sequence[int]], ambient: int) -> list[tuple[i
     Comes from the Smith decomposition: with U A V = D the first rank rows of
     V^-1 span the saturation.
     """
-    rows = [tuple(int(x) for x in r) for r in rows]
     if not rows:
         return []
     sf = smith_normal_form(rows)
-    rank = sum(1 for x in sf.diagonal if x != 0)
-    v_inv = invert_unimodular(sf.right)
-    return [tuple(v_inv[i]) for i in range(rank)]
+    return list(sf.right_inverse[: sum(1 for x in sf.diagonal if x != 0)])
 
 
 def invert_unimodular(v: Sequence[Sequence[int]]) -> list[list[int]]:

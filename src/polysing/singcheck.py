@@ -49,16 +49,7 @@ from .polyhedra import (
     tail_polyhedron,
     translate,
 )
-from .ratlin import (
-    dot,
-    invert_unimodular,
-    matrix_rank,
-    mu,
-    saturated_basis,
-    scale_to_int,
-    smith_normal_form,
-    vec_add,
-)
+from .ratlin import dot, matrix_rank, mu, smith_normal_form, vec_add, vec_sub
 
 DEFAULT_BUDGET = 10**6
 
@@ -79,7 +70,6 @@ class BoundaryData:
 
     mu_max: tuple[tuple[Point, int], ...]
     boundary: QDivisor
-    u0: Fraction | None
 
 
 def boundary_data(d: PolyhedralDivisor) -> BoundaryData:
@@ -89,13 +79,7 @@ def boundary_data(d: PolyhedralDivisor) -> BoundaryData:
         m = max(mu(v) for v in poly.vertices)
         mus.append((p, m))
         terms.append((p, Fraction(m - 1, m)))
-    boundary = QDivisor.of(terms)
-    u0 = None
-    if rank(d) == 1 and d.base.projective:
-        d1 = QDivisor.of([(p, poly.vertices[0][0]) for p, poly in support(d)])
-        if d1.degree != 0:
-            u0 = (d.canonical.degree + boundary.degree) / d1.degree
-    return BoundaryData(tuple(mus), boundary, u0)
+    return BoundaryData(tuple(mus), QDivisor.of(terms))
 
 
 def _is_lattice_translate(poly: SigmaPolyhedron) -> bool:
@@ -158,11 +142,8 @@ def check_smooth(d: PolyhedralDivisor) -> Verdict:
 
 
 def _poly_dim(poly: SigmaPolyhedron) -> int:
-    v0 = poly.vertices[0]
-    rows = [scale_to_int(tuple(a - b for a, b in zip(v, v0))) for v in poly.vertices[1:]]
-    rows += list(poly.tail.generators)
-    rows = [r for r in rows if any(r)]
-    return matrix_rank(rows) if rows else 0
+    r0 = poly.numerators[0]
+    return matrix_rank([vec_sub(r, r0) for r in poly.numerators[1:]] + list(poly.tail.generators))
 
 
 def _cell_faces(c: Cone) -> set[tuple[tuple[int, ...], ...]]:
@@ -207,7 +188,7 @@ def check_isolated(d: PolyhedralDivisor) -> Verdict:
             total = tail_polyhedron(tau)
             for _, f in faces:
                 total = minkowski_sum(total, f)
-            inside = all(cone_contains(tau, scale_to_int(v)) for v in total.vertices)
+            inside = all(cone_contains(tau, r) for r in total.numerators)
             zero = tuple(Fraction(0) for _ in range(n))
             if inside and zero not in total.vertices:
                 sub = polyhedral_divisor(
@@ -231,25 +212,18 @@ def _adapted_basis(
     f_gens: Sequence[tuple[int, ...]], n: int
 ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], int]:
     """Lattice basis whose first k members span the saturation of f_gens, its
-    inverse, and k.
+    inverse, and k, all read off one Smith form.
 
-    With U A V = (I_k | 0) for the saturated rows A, the first k rows of V^-1
-    span the same sublattice and the remaining rows complete the basis; the
-    basis is diag(U^-1, I) V^-1, so its inverse is V diag(U, I).
+    With U A V = D for the rows A = f_gens, A = U^-1 D V^-1 makes every row a
+    combination of the first k = rank rows of V^-1; those rows span a direct
+    summand of Z^n that contains A with finite index, i.e. the saturation.
+    The rows of V^-1 are the basis, and V is its inverse.
     """
     if not f_gens:
         ident = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
         return ident, ident, 0
-    sat = saturated_basis(f_gens, n)
-    k = len(sat)
-    sf = smith_normal_form(list(sat))
-    if any(x != 1 for x in sf.diagonal):
-        raise InternalCheck("saturation must be a direct summand")
-    v_inv = invert_unimodular(sf.right)
-    u_cols = [col + (0,) * (n - k) for col in zip(*sf.left)]
-    u_cols += [tuple(int(i == j) for i in range(n)) for j in range(k, n)]
-    inverse = [tuple(dot(row, col) for col in u_cols) for row in sf.right]
-    return list(sat) + [tuple(v_inv[i]) for i in range(k, n)], inverse, k
+    sf = smith_normal_form(f_gens)
+    return list(sf.right_inverse), list(sf.right), sum(1 for x in sf.diagonal if x != 0)
 
 
 @_memoized

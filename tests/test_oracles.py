@@ -72,6 +72,22 @@ def unimodular_matrices(draw):
     return a
 
 
+@st.composite
+def smith_inputs(draw):
+    """Integer matrices up to 5x5, half of them products through an inner
+    dimension up to min(m, n) (so often rank-deficient), some rows zeroed."""
+    a = draw(int_matrices())
+    m, n = len(a), len(a[0])
+    if draw(st.booleans()):
+        r = draw(st.integers(0, min(m, n)))
+        small = st.integers(-3, 3)
+        b = [draw(st.lists(small, min_size=r, max_size=r)) for _ in range(m)]
+        c = [draw(st.lists(small, min_size=n, max_size=n)) for _ in range(r)]
+        a = [[sum(row[t] * c[t][j] for t in range(r)) for j in range(n)] for row in b]
+    zero = draw(st.sets(st.integers(0, m - 1)))
+    return [[0] * n if i in zero else row for i, row in enumerate(a)]
+
+
 def _sympy_factors(a):
     return sorted(abs(int(x)) for x in invariant_factors(sympy.Matrix(a), domain=sympy.ZZ))
 
@@ -92,6 +108,15 @@ def test_matrix_rank_matches_sympy(a):
 @given(int_matrices())
 def test_smith_diagonal_matches_sympy(a):
     assert sorted(smith_normal_form(a).diagonal) == _sympy_factors(a)
+
+
+@ORACLE
+@given(smith_inputs())
+def test_smith_right_inverse_matches_sympy(a):
+    sf = smith_normal_form(a)
+    right = sympy.Matrix(sf.right)
+    assert right * sympy.Matrix(sf.right_inverse) == sympy.eye(len(sf.right))
+    assert [list(row) for row in sf.right_inverse] == right.inv().tolist()
 
 
 @ORACLE

@@ -89,12 +89,6 @@ def test_extremal_ex1(ex1):
     ext = extremal_data(ex1)
     assert ext.extremal_rays == ()
     assert set(ext.non_extremal_rays) == {(1, 0), (1, 6)}
-    assert {(str(p), v, m) for p, v, m in ext.vertices} == {
-        ("0", (F(1), F(0)), 1),
-        ("0", (F(1), F(1)), 1),
-        ("1", (F(-1, 2), F(0)), 2),
-        ("inf", (F(-1, 3), F(0)), 3),
-    }
 
 
 def test_extremal_half_vertex_orthant():
@@ -185,8 +179,7 @@ def test_relabel_invariance(rk1):
     a = rk1({Point.coord(0): F(1, 2), Point.coord(1): F(1, 3), Point.infinity(): F(-4, 5)})
     b = rk1({Point.coord(5): F(1, 2), Point.coord(7): F(1, 3), Point.infinity(): F(-4, 5)})
     ea, eb = extremal_data(a), extremal_data(b)
-    assert ea.extremal_rays == eb.extremal_rays
-    assert sorted(m for _, _, m in ea.vertices) == sorted(m for _, _, m in eb.vertices)
+    assert ea == eb
 
 
 def test_proper_agrees_with_cellwise_evaluation():

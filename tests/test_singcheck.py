@@ -314,7 +314,6 @@ def test_boundary_data(e8):
     bd = boundary_data(e8)
     assert {str(p): m for p, m in bd.mu_max} == {"0": 2, "1": 3, "inf": 5}
     assert bd.boundary.degree == F(1, 2) + F(2, 3) + F(4, 5)
-    assert bd.u0 == (F(-2) + bd.boundary.degree) / F(1, 30)
 
 
 def test_smooth_implies_isolated_random():
@@ -367,6 +366,33 @@ def test_adapted_basis_carries_its_inverse():
         basis, inverse, k = _adapted_basis(gens, n)
         assert basis[:k] == saturated_basis(gens, n)
         assert [list(r) for r in inverse] == invert_unimodular(basis)
+
+
+def test_adapted_basis_takes_one_smith_form(monkeypatch):
+    import polysing.ratlin as rl
+    import polysing.singcheck as sc
+
+    calls = []
+    original = rl.smith_normal_form
+
+    def spy(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(rl, "smith_normal_form", spy)
+    monkeypatch.setattr(sc, "smith_normal_form", spy)
+    rng = random.Random(13)
+    checked = 0
+    while checked < 100:
+        n = rng.randint(1, 4)
+        gens = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(rng.randint(1, 3))]
+        gens = [g for g in gens if any(g)]
+        if not gens:
+            continue
+        calls.clear()
+        sc._adapted_basis(gens, n)
+        assert len(calls) == 1
+        checked += 1
 
 
 def test_rational_budget_counts_lattice_points():

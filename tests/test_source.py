@@ -42,9 +42,9 @@ def test_double_description_is_referenced_only_in_polyhedra():
 
 
 def test_solve_exact_is_referenced_only_in_ratlin_and_polytope_vertices():
-    """The divisor-class system and the rational scan solve over Smith forms
-    and unimodular inverses; the Fraction solver serves the vertex
-    enumeration (and stays exported by the package)."""
+    """The divisor-class system and the rational scan solve over Smith forms;
+    the Fraction solver serves the vertex enumeration (and stays exported by
+    the package)."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.name in ("ratlin.py", "__init__.py"):
@@ -58,6 +58,20 @@ def test_solve_exact_is_referenced_only_in_ratlin_and_polytope_vertices():
                 allowed |= {id(inner) for inner in ast.walk(node)}
         for node in ast.walk(tree):
             if "solve_exact" in _referenced_names(node) and id(node) not in allowed:
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+    assert not found, found
+
+
+def test_unimodular_inverse_and_saturation_are_referenced_only_in_ratlin():
+    """Lattice bases adapted to a sublattice are read off one Smith form,
+    through its right_inverse; the two helpers stay public oracles."""
+    names = {"invert_unimodular", "saturated_basis"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "ratlin.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if names & _referenced_names(node):
                 found.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
     assert not found, found
 
