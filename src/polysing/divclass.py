@@ -216,14 +216,11 @@ def gorenstein_solve(d: PolyhedralDivisor) -> GorensteinResult:
 
 def _check_rank_one_path(d: PolyhedralDivisor, res: GorensteinSolution) -> None:
     """Cross-check the full solve against the degree formula u0 = deg(K+B)/deg(D1)."""
-    d1 = QDivisor.of([(p, poly.vertices[0][0]) for p, poly in support(d)])
-    mu_b = QDivisor.of(
-        [(p, Fraction(mu(poly.vertices[0]) - 1, mu(poly.vertices[0]))) for p, poly in support(d)]
-    )
-    denom = d1.degree
+    verts = [poly.vertices[0] for _, poly in support(d)]
+    denom = sum((v[0] for v in verts), Fraction(0))
     if denom == 0:
         return
-    u0 = (d.canonical.degree + mu_b.degree) / denom
+    u0 = (d.canonical.degree + sum(Fraction(mu(v) - 1, mu(v)) for v in verts)) / denom
     if res.u != (u0,):
         raise InternalCheck(f"rank-1 fast path disagrees: {res.u} vs {u0}")
 

@@ -95,8 +95,9 @@ def primitive(v: Sequence[int]) -> tuple[int, ...]:
 
 
 def mu(v: Sequence) -> int:
-    """Least positive integer making v a lattice point (lcm of denominators)."""
-    return math.lcm(*[Fraction(x).denominator for x in v])
+    """Least positive integer making v a lattice point: the lcm of the
+    denominators of its int or Fraction entries, read without conversion."""
+    return math.lcm(*[x.denominator for x in v])
 
 
 def scale_to_int(v: Sequence[Fraction]) -> tuple[int, ...]:
@@ -288,21 +289,25 @@ Solution = Unique | Inconsistent | Underdetermined
 def smith_solve(sf: SmithForm, b: Sequence) -> Solution:
     """Classify and solve A x = b by back-substitution over U A V = D.
 
-    With y = V^-1 x the system reads D y = U b: each nonzero d_i fixes
-    y_i = (U b)_i / d_i over one common denominator, a nonzero (U b)_i past
-    the rank makes it inconsistent with row i of U as certificate, and V's
-    trailing columns span the kernel.
+    b is taken as integer numerators over one denominator b_den.  With
+    y = V^-1 x the system reads D y = U b: each nonzero d_i fixes
+    y_i = (U b)_i / d_i over the common denominator den = lcm(d_i), so every
+    unknown is a single Fraction(row . (den y), den * b_den); a nonzero
+    (U b)_i past the rank makes it inconsistent with row i of U as
+    certificate, and V's trailing columns span the kernel.
     """
     if len(b) != len(sf.left):
         raise ShapeError("right-hand side length mismatch")
-    ub = [dot(row, b) for row in sf.left]
+    b_den = mu(b)
+    b_num = [x.numerator * (b_den // x.denominator) for x in b]
+    ub = [dot(row, b_num) for row in sf.left]
     r = sum(1 for x in sf.diagonal if x != 0)
     for i in range(r, len(ub)):
         if ub[i] != 0:
             return Inconsistent(tuple(Fraction(x) for x in sf.left[i]))
     den = math.lcm(*sf.diagonal[:r])
-    y = [ub[i] * (den // sf.diagonal[i]) for i in range(r)]  # den * y
-    x = tuple(Fraction(dot(row[:r], y)) / den for row in sf.right)
+    y = [ub[i] * (den // sf.diagonal[i]) for i in range(r)]  # den * b_den * y
+    x = tuple(Fraction(dot(row[:r], y), den * b_den) for row in sf.right)
     if r == len(sf.right):
         return Unique(x)
     kernel = tuple(tuple(Fraction(row[k]) for row in sf.right) for k in range(r, len(sf.right)))

@@ -148,11 +148,13 @@ def _poly_dim(poly: SigmaPolyhedron) -> int:
 
 def _cell_faces(c: Cone) -> set[tuple[tuple[int, ...], ...]]:
     hs = halfspaces(c)
+    # bit i of a generator's mask is set when it lies on the hyperplane of hs[i]
+    masks = [sum(1 << i for i, h in enumerate(hs) if dot(h, g) == 0) for g in c.generators]
     faces = set()
     for size in range(len(hs) + 1):
-        for sel in combinations(hs, size):
-            gens = tuple(g for g in c.generators if all(dot(h, g) == 0 for h in sel))
-            faces.add(gens)
+        for sel in combinations([1 << i for i in range(len(hs))], size):
+            s = sum(sel)
+            faces.add(tuple(g for g, m in zip(c.generators, masks) if m & s == s))
     return faces
 
 
@@ -262,13 +264,17 @@ def _scan_cell(d: PolyhedralDivisor, cell, budget: int):
     n = rank(d)
     sel = cell.selection
     mus = [mu(v) for v in sel]
-    s_f = sum(Fraction(m - 1, m) for m in mus)
-    bound = s_f - 1
+    ell = math.lcm(*mus)
+    # ell times the degree bound s_f - 1, where s_f sums (m - 1) / m
+    bound = sum((m - 1) * (ell // m) for m in mus) - ell
     if bound < 0:
         # floors lose less than one in total, so every value stays above -1
         return ("ok", None, 0)
-    ell = math.lcm(*mus) if mus else 1
-    w_deg = tuple(sum((v[i] for v in sel), Fraction(0)) for i in range(n))
+    # each selected vertex as (mu, integer row): floor(<u, v>) = <u, row> // mu
+    int_sel = [(m, tuple(x.numerator * (m // x.denominator) for x in v)) for m, v in zip(mus, sel)]
+    # ell times the degree direction; a positive scale keeps every sign test,
+    # the slab's ceil ratio and the lattice points of the degree-bound row
+    w_deg = tuple(sum(row[i] * (ell // m) for m, row in int_sel) for i in range(n))
     gens = cell.cone.generators
     f_gens = [g for g in gens if dot(g, w_deg) == 0]
     if any(dot(g, w_deg) < 0 for g in gens):
@@ -282,14 +288,11 @@ def _scan_cell(d: PolyhedralDivisor, cell, budget: int):
     def to_u(c: Sequence[int]) -> tuple[int, ...]:
         return tuple(sum(c[i] * basis[i][j] for i in range(n)) for j in range(n))
 
-    # each selected vertex as (mu, integer row): floor(<u, v>) = <u, row> // mu
-    int_sel = [(m, tuple(int(x * m) for x in v)) for m, v in zip(mus, sel)]
-
     def phi(u) -> int:
         return sum(dot(u, row) // m for m, row in int_sel)
 
     # constraints a.x >= b in adapted coordinates: the cell's half-spaces plus
-    # the degree bound (rational rows are fine, lattice points are integral)
+    # the degree bound, all on integers
     constraints = [(tuple(dot(basis[i], h) for i in range(n)), 0) for h in halfspaces(cell.cone)]
     constraints.append((tuple(-dot(basis[i], w_deg) for i in range(n)), -bound))
     rows_x = [(a[:k], a[k:], b) for a, b in constraints if any(a[:k])]
@@ -311,7 +314,7 @@ def _scan_cell(d: PolyhedralDivisor, cell, budget: int):
         for ax, ay, b in rows_x:
             slack = b - dot(ay, y) - sum(min(a, 0) * (ell - 1) for a in ax)
             if slack > 0:
-                s = max(s, math.ceil(Fraction(slack) / dot(ax, w0)))
+                s = max(s, -(-slack // dot(ax, w0)))
         base_x = tuple(s * w for w in w0)
         for xi in product(range(ell), repeat=k):
             x = tuple(bb + o for bb, o in zip(base_x, xi))

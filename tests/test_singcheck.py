@@ -1,7 +1,11 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polysing.cli import parse_document
 from polysing.divclass import gorenstein_solve
@@ -15,8 +19,8 @@ from polysing.pdiv import (
     is_proper,
     polyhedral_divisor,
 )
-from polysing.polyhedra import make_cone, sigma_polyhedron, tail_polyhedron
-from polysing.ratlin import invert_unimodular, saturated_basis
+from polysing.polyhedra import halfspaces, make_cone, sigma_polyhedron, tail_polyhedron
+from polysing.ratlin import dot, invert_unimodular, saturated_basis, vec_add
 from polysing.singcheck import (
     DEFAULT_BUDGET,
     _adapted_basis,
@@ -466,3 +470,48 @@ def test_rational_scan_on_degree_zero_faces(monkeypatch):
             assert all(floor_degree(evaluate(d, u))[1] >= -1 for u in window)
     assert verdicts["yes"] > 50 and verdicts["no"] > 50
     assert any(k > 0 for k in ks)
+
+
+def _reference_cell_faces(c):
+    """The face enumeration as a dot product per (subset, generator,
+    half-space) triple: every subset of the half-spaces by size, in
+    `combinations` order, inserted into a set."""
+    import polysing.singcheck as sc
+
+    hs = sc.halfspaces(c)
+    faces = set()
+    for size in range(len(hs) + 1):
+        for sel in combinations(hs, size):
+            gens = tuple(g for g in c.generators if all(dot(h, g) == 0 for h in sel))
+            faces.add(gens)
+    return faces
+
+
+@st.composite
+def _cells_with_normals(draw):
+    """A cone of rank 2-4 with the coordinate rays among its generators, and
+    0-2 redundant normals (sums of two of its half-spaces) to append."""
+    n = draw(st.integers(2, 4))
+    vec = st.lists(st.integers(-2, 3), min_size=n, max_size=n).filter(any)
+    gens = draw(st.lists(vec, max_size=3 if n < 4 else 2))
+    c = make_cone(gens + [[int(i == j) for j in range(n)] for i in range(n)], n)
+    hs = halfspaces(c)
+    if not hs:
+        return c, hs
+    pairs = st.tuples(st.integers(0, len(hs) - 1), st.integers(0, len(hs) - 1))
+    extra = [vec_add(hs[i], hs[j]) for i, j in draw(st.lists(pairs, max_size=2))]
+    return c, hs + tuple(extra)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_cells_with_normals())
+def test_cell_faces_keep_the_reference_order(case):
+    """The bitmask walk yields the same faces in the same set order as the
+    dot-product walk, so every isolatedness witness stays the same; the
+    half-spaces include redundant normals, drawn and from the double
+    description itself."""
+    import polysing.singcheck as sc
+
+    c, hs = case
+    with patch.object(sc, "halfspaces", lambda cone: hs):
+        assert list(sc._cell_faces(c)) == list(_reference_cell_faces(c))
