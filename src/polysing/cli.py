@@ -476,16 +476,45 @@ def charts_report(d: pdiv.PolyhedralDivisor) -> dict:
     return out
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit 3, like malformed documents: argparse's own 2 is
+    the code for an improper divisor here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE_ERROR, f"{self.prog}: error: {message}\n")
+
+
+def _criteria(text: str) -> list[str]:
+    names = text.split(",")
+    unknown = [n for n in names if n not in ALL_CRITERIA]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown criteria {', '.join(map(repr, unknown))}; choose from {', '.join(ALL_CRITERIA)}"
+        )
+    return names
+
+
+def _budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"the budget must be a nonnegative integer, not {text!r}")
+    return value
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="polysing", description=__doc__)
+    parser = _ArgumentParser(prog="polysing", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_an = sub.add_parser("analyze", help="run the singularity analysis chain")
     p_an.add_argument("path", type=Path, help="input document or a directory of documents")
     p_an.add_argument("--report", choices=("json", "text"), default="text")
-    p_an.add_argument("--only", help="comma-separated criteria subset")
+    p_an.add_argument("--only", type=_criteria, help="comma-separated criteria subset")
     p_an.add_argument("--kdiv", help="canonical divisor override, e.g. '-1*0,-1*inf'")
-    p_an.add_argument("--budget", type=int, default=singcheck.DEFAULT_BUDGET)
+    p_an.add_argument("--budget", type=_budget, default=singcheck.DEFAULT_BUDGET)
 
     p_con = sub.add_parser("construct", help="build the factorial divisor for admissible data")
     p_con.add_argument("path", type=Path)
@@ -534,7 +563,6 @@ def _dispatch(args) -> int:
         paths = sorted(args.path.glob("*.json")) if args.path.is_dir() else [args.path]
         if not paths:
             raise ParseError("no .json documents found", str(args.path))
-        only = args.only.split(",") if args.only else None
         worst = EXIT_OK
         for path in paths:
             try:
@@ -545,7 +573,7 @@ def _dispatch(args) -> int:
                     d = _require_kind(doc, "divisor", path)
                     if args.kdiv:
                         d = _with_canonical(d, _parse_kdiv(args.kdiv, d.base), "--kdiv")
-                    report = analyze(d, only, args.budget)
+                    report = analyze(d, args.only, args.budget)
             except ParseError as exc:
                 # batch contract: files are independent, one bad file does not
                 # stop the rest

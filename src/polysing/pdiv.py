@@ -345,5 +345,16 @@ def higher_direct_dims(d: PolyhedralDivisor, u: Sequence[int]) -> tuple[int, int
     for g in d.tail.generators:
         if dot(lattice, g) < 0:
             raise UnboundedBelow("u lies outside the dual tail cone")
-    fdeg = sum(min(dot(lattice, row) for row in poly.numerators) // poly.den for _, poly in support(d))
+    fdeg = _floor_degree(_floor_rows(d), lattice)
     return max(fdeg + 1, 0), max(-fdeg - 1, 0)
+
+
+@_memoized
+def _floor_rows(d: PolyhedralDivisor) -> tuple:
+    """(integer vertex rows, their denominator) at each support point."""
+    return tuple((poly.numerators, poly.den) for _, poly in support(d))
+
+
+def _floor_degree(rows, u: Sequence[int]) -> int:
+    """sum_p floor(min <u, D_p>) over `_floor_rows`, for a lattice point u of the dual tail."""
+    return sum(min([dot(u, row) for row in nums]) // den for nums, den in rows)

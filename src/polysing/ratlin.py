@@ -6,6 +6,7 @@ Fraction entries; nothing here ever touches floating point.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -107,7 +108,9 @@ def scale_to_int(v: Sequence[Fraction]) -> tuple[int, ...]:
 
 
 def dot(u: Sequence, v: Sequence):
-    return sum(a * b for a, b in zip(u, v, strict=True))
+    if len(u) != len(v):
+        raise ValueError(f"dot of vectors of lengths {len(u)} and {len(v)}")
+    return sum(map(operator.mul, u, v))
 
 
 def vec_add(u: Sequence, v: Sequence) -> tuple:

@@ -36,7 +36,6 @@ from .polyhedra import (
     Cone,
     SigmaPolyhedron,
     cayley_cone,
-    cone_contains,
     cone_dim,
     dual_cone,
     face_of,
@@ -45,7 +44,7 @@ from .polyhedra import (
     is_regular,
     lattice_points,
     minimal_generators,
-    minkowski_sum,
+    support_value,
     tail_polyhedron,
     translate,
 )
@@ -187,12 +186,12 @@ def check_isolated(d: PolyhedralDivisor) -> Verdict:
             codims.append(n - cone_dim(tau))
             if min(codims) != 1:
                 continue
-            total = tail_polyhedron(tau)
-            for _, f in faces:
-                total = minkowski_sum(total, f)
-            inside = all(cone_contains(tau, r) for r in total.numerators)
-            zero = tuple(Fraction(0) for _ in range(n))
-            if inside and zero not in total.vertices:
+            # the face sum lies in tau and misses 0 iff its support values are
+            # >= 0 at tau's half-spaces and > 0 at their sum (is_proper's rule)
+            hs = halfspaces(tau)
+            inner = tuple(sum(h[i] for h in hs) for i in range(n))
+            vals = [sum(support_value(f, h)[0] for _, f in faces) for h in (*hs, inner)]
+            if min(vals[:-1], default=0) >= 0 and vals[-1] > 0:
                 sub = polyhedral_divisor(
                     d.base, tau, [(p, f) for p, f in faces], canonical=d.canonical
                 )

@@ -10,14 +10,15 @@ from itertools import product
 from typing import Sequence
 
 from .divclass import factoriality_det, generator_degrees
-from .errors import ConstructionFailed, DegenerateInput, InternalCheck
+from .errors import ConstructionFailed, DegenerateInput, InternalCheck, UnsupportedBase
 from .pdiv import (
     P1,
     Point,
     PolyhedralDivisor,
+    _floor_degree,
+    _floor_rows,
     _memoized,
     coefficient_at,
-    higher_direct_dims,
     polyhedral_divisor,
     rank,
 )
@@ -261,16 +262,19 @@ def hilbert_compare(
     w_vars = [dot(weight, u) for u in variables]
     if any(w <= 0 for w in w_vars):
         raise DegenerateInput("the weight vector must be positive on every generator degree")
+    if d.base != P1:
+        raise UnsupportedBase("cohomology dimensions are computed on P^1 only")
     side_a = [0] * (d_max + 1)
     rows = [tuple(g) for g in d.tail.generators]
     rhs = [0] * len(rows)
     rows.append(tuple(-x for x in weight))
     rhs.append(-d_max)
+    # h0 as in higher_direct_dims; no dual-tail check per point: the tail generators are rows with rhs 0
+    floor_rows = _floor_rows(d)
     for u in lattice_points(rows, rhs, n):
         w = dot(weight, u)
         if 0 <= w <= d_max:
-            h0, _ = higher_direct_dims(d, u)
-            side_a[w] += h0
+            side_a[w] += max(_floor_degree(floor_rows, u) + 1, 0)
     side_b = [1] + [0] * d_max
     for w in w_vars:
         for deg in range(w, d_max + 1):

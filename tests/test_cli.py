@@ -357,6 +357,40 @@ def test_cli_wrong_document_kind_exit(data_dir, command, doc, needle):
     assert needle in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "args, needle",
+    [
+        (["analyze", "ex1.json", "--report", "xml"], "--report"),
+        (["hilbert", "admissible_e8.json", "--dmax", "abc"], "--dmax"),
+        (["analyze", "ex1.json", "--only", "bogus,smooth"], "--only: unknown criteria 'bogus'"),
+        (["analyze", "ex1.json", "--only", "smooth,"], "--only: unknown criteria ''"),
+        (["analyze", "ex1.json", "--budget", "-5"], "--budget"),
+        (["analyze", "ex1.json", "--budget", "many"], "--budget"),
+        (["analyze"], "required"),
+    ],
+)
+def test_cli_usage_error_exits_3(data_dir, capsys, args, needle):
+    """Exit 2 means "not proper"; a bad command line is an input error."""
+    argv = [str(data_dir / a) if a.endswith(".json") else a for a in args]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_PARSE_ERROR
+    assert needle in capsys.readouterr().err
+
+
+def test_cli_usage_error_exit_code_in_a_process(data_dir):
+    proc = run_cli(["analyze", str(data_dir / "ex1.json"), "--only", "bogus,smooth"])
+    assert proc.returncode == EXIT_PARSE_ERROR
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+
+
+def test_cli_only_and_budget_accept_valid_values(data_dir):
+    proc = run_cli(["analyze", str(data_dir / "ex1.json"), "--only", "proper,rational", "--budget", "0"])
+    assert proc.returncode == 0
+    assert "proper" in proc.stdout and "inconclusive" in proc.stdout
+    assert "smooth" not in proc.stdout
+
+
 def test_cli_internal_check_is_not_an_input_error(monkeypatch, data_dir):
     """A failed invariant is a bug: the command does not turn it into exit 3."""
 

@@ -3,19 +3,22 @@
 `lattice_points` is checked against a box filter over the vertices of the
 region, `is_regular` against its definition through the double description:
 pointed, extreme rays independent, maximal minors coprime.  `support_value`
-is checked against the minimum of Fraction dots over the vertices, and
-`higher_direct_dims` against the floor degree of the evaluated divisor.
+is checked against the minimum of Fraction dots over the vertices,
+`higher_direct_dims` against the floor degree of the evaluated divisor, `dot`
+against a generator-expression sum, and the graded comparison's side A
+against a sum of `higher_direct_dims` over the lattice points of its region.
 """
 import math
 import random
 import signal
 from fractions import Fraction as F
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
-from polysing.errors import DegenerateInput, UnboundedBelow
+from polysing.errors import DegenerateInput, UnboundedBelow, UnsupportedBase
 from polysing.pdiv import (
+    A1,
     P1,
     Point,
     evaluate,
@@ -23,6 +26,7 @@ from polysing.pdiv import (
     higher_direct_dims,
     is_proper,
     polyhedral_divisor,
+    rank,
 )
 from polysing.polyhedra import (
     SigmaPolyhedron,
@@ -37,6 +41,7 @@ from polysing.polyhedra import (
     support_value,
 )
 from polysing.ratlin import dot, invert_unimodular, matrix_rank
+from polysing.ufdgen import admissible_data, construct_divisor, default_points, hilbert_compare, presentation
 
 pytest.importorskip("hypothesis")
 
@@ -245,3 +250,70 @@ def test_sigma_polyhedron_integer_rows_stay_out_of_equality():
     text = repr(a)
     assert "den" not in text and "numerators" not in text
     assert a != sigma_polyhedron([(F(1, 2), F(2, 3))], tail)
+
+
+def test_dot_rejects_a_length_mismatch():
+    with pytest.raises(ValueError):
+        dot((1, 2), (1, 2, 3))
+    with pytest.raises(ValueError):
+        dot((), (F(1),))
+
+
+vectors = st.integers(0, 5).flatmap(
+    lambda n: st.tuples(*[st.lists(st.integers(-50, 50) | fracs, min_size=n, max_size=n)] * 2)
+)
+
+
+@KERNEL
+@given(vectors)
+def test_dot_matches_the_generator_sum(pair):
+    u, v = pair
+    expected = sum(a * b for a, b in zip(u, v))
+    got = dot(u, v)
+    assert got == expected and type(got) is type(expected)
+
+
+def _graded_data() -> list[tuple[tuple[int, ...], ...]]:
+    """Three-entry admissible data with multiplicities <= 4 and rank 2-4."""
+    tuples = sorted({t for r in (1, 2, 3, 4) for t in combinations_with_replacement(range(1, 5), r)})
+    out = []
+    for combo in combinations_with_replacement(tuples, 3):
+        gcds = [math.gcd(*t) for t in combo]
+        if all(math.gcd(gcds[i], gcds[j]) == 1 for i in range(3) for j in range(i)):
+            if 1 <= sum(len(t) - 1 for t in combo) <= 3:
+                out.append(combo)
+    return out
+
+
+def _side_a_by_higher_direct_dims(d, weight, d_max):
+    """The graded comparison's side A as the loop over `higher_direct_dims`
+    that `hilbert_compare` ran before it read the floor rows itself."""
+    rows = [tuple(g) for g in d.tail.generators] + [tuple(-x for x in weight)]
+    rhs = [0] * len(d.tail.generators) + [-d_max]
+    side_a = [0] * (d_max + 1)
+    for u in lattice_points(rows, rhs, rank(d)):
+        w = dot(weight, u)
+        if 0 <= w <= d_max:
+            side_a[w] += higher_direct_dims(d, u)[0]
+    return side_a
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(_graded_data()), st.data())
+def test_hilbert_side_a_matches_higher_direct_dims(mus, data):
+    datum = admissible_data(list(zip(default_points(3), mus)))
+    d = construct_divisor(datum)
+    gens = minimal_generators(d.tail)
+    coefs = data.draw(st.lists(st.integers(1, 3), min_size=len(gens), max_size=len(gens)))
+    weight = tuple(sum(c * g[i] for c, g in zip(coefs, gens)) for i in range(rank(d)))
+    d_max = data.draw(st.integers(0, 12))
+    pres = presentation(datum, d)
+    cmp = hilbert_compare(d, pres.degrees, pres.leads, weight, d_max)
+    assert list(cmp.dims) == _side_a_by_higher_direct_dims(d, weight, d_max)
+
+
+def test_hilbert_compare_rejects_a_base_other_than_p1():
+    tail = make_cone([(1, 0), (0, 1)])
+    d = polyhedral_divisor(A1, tail, {Point.coord(0): sigma_polyhedron([(F(1, 2), 1)], tail)})
+    with pytest.raises(UnsupportedBase, match="on P\\^1 only"):
+        hilbert_compare(d, ((1, 0), (0, 1)), (), (1, 1), 4)

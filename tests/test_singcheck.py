@@ -18,8 +18,23 @@ from polysing.pdiv import (
     floor_degree,
     is_proper,
     polyhedral_divisor,
+    quasifan,
+    rank,
+    require_proper,
+    support,
 )
-from polysing.polyhedra import halfspaces, make_cone, sigma_polyhedron, tail_polyhedron
+from polysing.polyhedra import (
+    cone_contains,
+    cone_dim,
+    face_of,
+    face_of_cone,
+    halfspaces,
+    is_regular,
+    make_cone,
+    minkowski_sum,
+    sigma_polyhedron,
+    tail_polyhedron,
+)
 from polysing.ratlin import dot, invert_unimodular, saturated_basis, vec_add
 from polysing.singcheck import (
     DEFAULT_BUDGET,
@@ -34,6 +49,7 @@ from polysing.singcheck import (
     classify_canonical,
     discrepancies,
 )
+from polysing.ufdgen import admissible_data, construct_divisor, default_points
 
 
 def rk1_points(rk1, fracs):
@@ -515,3 +531,94 @@ def test_cell_faces_keep_the_reference_order(case):
     c, hs = case
     with patch.object(sc, "halfspaces", lambda cone: hs):
         assert list(sc._cell_faces(c)) == list(_reference_cell_faces(c))
+
+
+def _isolated_by_minkowski_sums(d, seen_branches):
+    """`check_isolated` as it was before it read the facet test off support
+    values: the face sum is built as a Minkowski sum, and each vertex is tested
+    for membership in tau.  Counts into `seen_branches` which test each facet
+    took, and how many facets had tau = {0}."""
+    import polysing.singcheck as sc
+
+    require_proper(d)
+    n = rank(d)
+    sup = support(d)
+    seen = set()
+    for cell in quasifan(d).maximal_cells:
+        for face_gens in sc._cell_faces(cell.cone):
+            if not face_gens or face_gens in seen:
+                continue
+            seen.add(face_gens)
+            u = tuple(sum(g[i] for g in face_gens) for i in range(n))
+            faces = [(p, face_of(poly, u)) for p, poly in sup]
+            tau = face_of_cone(d.tail, u)
+            codims = [n - sc._poly_dim(f) for _, f in faces]
+            codims.append(n - cone_dim(tau))
+            if min(codims) != 1:
+                continue
+            total = tail_polyhedron(tau)
+            for _, f in faces:
+                total = minkowski_sum(total, f)
+            inside = all(cone_contains(tau, r) for r in total.numerators)
+            zero = tuple(F(0) for _ in range(n))
+            seen_branches["zero_tau"] += not tau.generators
+            if inside and zero not in total.vertices:
+                seen_branches["inside"] += 1
+                sub = polyhedral_divisor(d.base, tau, [(p, f) for p, f in faces], canonical=d.canonical)
+                ok = check_smooth(sub)
+                if not ok:
+                    return ("no", list(u), f"facet variety is singular: {ok.reason}")
+            else:
+                seen_branches["outside"] += 1
+                for p, f in faces:
+                    if not is_regular(sc._chart_cone(f)):
+                        return ("no", list(u), f"singular fiber chart at {p} on this facet")
+                if not is_regular(sc._chart_cone(tail_polyhedron(tau))):
+                    return ("no", list(u), "singular generic chart on this facet")
+    return ("yes", None, "")
+
+
+def _orthant_divisors(count):
+    """Proper rank-2/3 divisors on P^1 over the orthant, half of them with an
+    extra tail ray that has one negative entry; the vertices at infinity are
+    shifted so that the degree polyhedron lies in the open orthant."""
+    rng = random.Random(14)
+    for _ in range(count):
+        n = rng.choice((2, 3))
+        rays = [[int(i == j) for j in range(n)] for i in range(n)]
+        if rng.random() < 0.5:
+            extra = [1] * n
+            extra[rng.randrange(n)] = -1
+            rays.append(extra)
+        tail = make_cone(rays, n)
+        points = [Point.infinity()] + [Point.coord(i) for i in range(rng.randint(1, 3))]
+        verts = [
+            [[F(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+            for _ in points
+        ]
+        for j in range(n):
+            shift = F(1, rng.randint(1, 6)) - sum(min(v[j] for v in vs) for vs in verts)
+            for v in verts[0]:
+                v[j] += shift
+        yield polyhedral_divisor(P1, tail, {p: sigma_polyhedron(vs, tail) for p, vs in zip(points, verts)})
+
+
+def test_isolated_matches_the_minkowski_sum_facet_test():
+    """Verdict, witness and reason agree with the Minkowski-sum oracle on
+    seeded proper divisors: orthant tails with and without an extra ray,
+    ex1-shaped divisors with a degree-zero face, and factorial constructions."""
+    divisors = list(_orthant_divisors(200)) + list(_degree_zero_face_family(60))
+    for mus in [((1, 1), (2,), (3,)), ((1, 1), (1, 1), (3,)), ((1, 1, 1), (2,), (3,)), ((2, 2), (3,), (5,))]:
+        divisors.append(construct_divisor(admissible_data(list(zip(default_points(3), mus)))))
+    branches = {"inside": 0, "outside": 0, "zero_tau": 0}
+    verdicts = {"yes": 0, "no": 0}
+    checked = 0
+    for d in divisors:
+        if is_proper(d).status != "proper":
+            continue
+        checked += 1
+        v = check_isolated(d)
+        assert (v.status, v.witness, v.reason) == _isolated_by_minkowski_sums(d, branches)
+        verdicts[v.status] += 1
+    assert checked >= 200
+    assert min(branches.values()) > 0 and min(verdicts.values()) > 0, (branches, verdicts)

@@ -62,6 +62,27 @@ def test_solve_exact_is_referenced_only_in_ratlin_and_polytope_vertices():
     assert not found, found
 
 
+def test_minkowski_sum_is_referenced_only_in_polyhedra_and_deg_polyhedron():
+    """Properness, extremal rays and the isolatedness facets read Minkowski
+    sums off sums of support values; the sum itself stays a public reference
+    (the benchmark's tracer wraps it by name) behind `pdiv.deg_polyhedron`."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name in ("polyhedra.py", "__init__.py"):
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = set()
+        for node in ast.walk(tree) if path.name == "pdiv.py" else ():
+            if isinstance(node, ast.ImportFrom) or (
+                isinstance(node, ast.FunctionDef) and node.name == "deg_polyhedron"
+            ):
+                allowed |= {id(inner) for inner in ast.walk(node)}
+        for node in ast.walk(tree):
+            if "minkowski_sum" in _referenced_names(node) and id(node) not in allowed:
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')}")
+    assert not found, found
+
+
 def test_unimodular_inverse_and_saturation_are_referenced_only_in_ratlin():
     """Lattice bases adapted to a sublattice are read off one Smith form,
     through its right_inverse; the two helpers stay public oracles."""
