@@ -317,18 +317,21 @@ def cayley_cone(parts: Sequence[tuple[SigmaPolyhedron, Sequence[int]]]) -> Cone:
         raise ValueError("cayley_cone needs at least one part")
     tail = parts[0][0].tail
     k = len(parts[0][1])
-    gens: list[tuple[Fraction, ...]] = []
     for poly, marker in parts:
         if poly.tail != tail:
             raise TailMismatch("Cayley parts must share one tail cone")
         if len(marker) != k:
             raise ValueError("marker dimension mismatch")
-        for v in poly.vertices:
-            gens.append(tuple(Fraction(x) for x in marker) + v)
-    zero_marker = tuple(Fraction(0) for _ in range(k))
-    for r in tail.generators:
-        gens.append(zero_marker + tuple(Fraction(x) for x in r))
-    return make_cone(gens, k + tail.ambient_rank)
+    return _cayley_cone([(poly.den, poly.numerators, marker) for poly, marker in parts], tail)
+
+
+def _cayley_cone(parts, tail: Cone) -> Cone:
+    """`cayley_cone` of parts given as (den, integer vertex rows over den,
+    marker): (marker, row / den) spans the ray of primitive((den * marker, row))."""
+    k = len(parts[0][2])
+    gens = {primitive((*(den * x for x in marker), *row)) for den, rows, marker in parts for row in rows}
+    gens.update((0,) * k + r for r in tail.generators)
+    return Cone(k + tail.ambient_rank, tuple(sorted(g for g in gens if any(g))))
 
 
 @dataclass(frozen=True)

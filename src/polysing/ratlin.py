@@ -240,32 +240,36 @@ def smith_normal_form(a: Matrix) -> SmithForm:
 
 
 def determinant(a: Matrix):
-    """Exact determinant by fraction-free (Bareiss) elimination."""
+    """Exact determinant by integer fraction-free (Bareiss) elimination; a matrix
+    with a non-int entry is scaled row by row to integers, then divided back."""
     m, n = _dims(a)
     if m != n:
         raise ShapeError(f"determinant needs a square matrix, got {m}x{n}")
     if n == 0:
         return 1
-    work = [[Fraction(x) if isinstance(x, Fraction) else int(x) for x in row] for row in a]
-    sign = 1
-    prev = 1
+    if all(isinstance(x, int) for row in a for x in row):
+        work, scale = list(a), None  # rows are replaced, never written to
+    else:
+        scales = [mu(row) for row in a]
+        work = [[int(x * s) for x in row] for row, s in zip(a, scales)]
+        scale = math.prod(scales)
+    sign, prev = 1, 1
     for k in range(n - 1):
-        if work[k][k] == 0:
-            pivot_row = next((i for i in range(k + 1, n) if work[i][k] != 0), None)
+        if not work[k][k]:
+            pivot_row = next((i for i in range(k + 1, n) if work[i][k]), None)
             if pivot_row is None:
-                return 0 * work[0][0]
+                # a zero in the type of the first pivot entry
+                return 0 * next((row[0] for row in a if row[0]), a[0][0])
             work[k], work[pivot_row] = work[pivot_row], work[k]
             sign = -sign
+        pk = work[k][k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = work[i][j] * work[k][k] - work[i][k] * work[k][j]
-                if isinstance(num, Fraction):
-                    work[i][j] = num / prev
-                else:
-                    work[i][j] = num // prev
-            work[i][k] = 0
-        prev = work[k][k]
-    return sign * work[n - 1][n - 1]
+            c = work[i][k]
+            # the division is exact; columns up to k come out zero
+            work[i] = [(x * pk - c * y) // prev for x, y in zip(work[i], work[k])]
+        prev = pk
+    det = sign * work[n - 1][n - 1]
+    return det if scale is None else Fraction(det, scale)
 
 
 @dataclass(frozen=True)

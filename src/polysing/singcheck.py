@@ -35,6 +35,7 @@ from .pdiv import (
 from .polyhedra import (
     Cone,
     SigmaPolyhedron,
+    _cayley_cone,
     cayley_cone,
     cone_dim,
     dual_cone,
@@ -44,7 +45,6 @@ from .polyhedra import (
     is_regular,
     lattice_points,
     minimal_generators,
-    support_value,
     tail_polyhedron,
     translate,
 )
@@ -105,8 +105,15 @@ def _two_point_bicone(tail: Cone, polys: Sequence[SigmaPolyhedron]) -> Cone | No
     return cayley_cone([(delta_y, (1,)), (delta_z, (-1,))])
 
 
-def _chart_cone(poly: SigmaPolyhedron) -> Cone:
-    return cayley_cone([(poly, (1,))])
+def _bicone_verdict(tail: Cone, polys: Sequence[SigmaPolyhedron]) -> Verdict:
+    """Smoothness over P^1 of a proper divisor with these coefficients; lattice
+    translates of the tail, the tail itself among them, are translated away."""
+    bic = _two_point_bicone(tail, polys)
+    if bic is None:
+        return Verdict("no", reason="more than two coefficients are not lattice translates of the tail")
+    if is_regular(bic):
+        return Verdict("yes", witness=[list(g) for g in bic.generators])
+    return Verdict("no", witness=[list(g) for g in bic.generators], reason="bicone is not regular")
 
 
 @_memoized
@@ -122,27 +129,14 @@ def check_smooth(d: PolyhedralDivisor) -> Verdict:
     require_proper(d)
     if not d.base.projective:
         for p, poly in support(d):
-            if not is_regular(_chart_cone(poly)):
+            if not is_regular(cayley_cone([(poly, (1,))])):
                 return Verdict("no", witness=str(p), reason="singular toric chart at this point")
-        if not is_regular(_chart_cone(tail_polyhedron(d.tail))):
+        if not is_regular(cayley_cone([(tail_polyhedron(d.tail), (1,))])):
             return Verdict("no", reason="the tail cone itself is not regular")
         return Verdict("yes")
     if d.base.kind == ABSTRACT:
         return Verdict("no", reason="a smooth complexity-one variety has base P^1 or an affine curve")
-    polys = [poly for _, poly in support(d)]
-    bic = _two_point_bicone(d.tail, polys)
-    if bic is None:
-        return Verdict(
-            "no", reason="more than two coefficients are not lattice translates of the tail"
-        )
-    if is_regular(bic):
-        return Verdict("yes", witness=[list(g) for g in bic.generators])
-    return Verdict("no", witness=[list(g) for g in bic.generators], reason="bicone is not regular")
-
-
-def _poly_dim(poly: SigmaPolyhedron) -> int:
-    r0 = poly.numerators[0]
-    return matrix_rank([vec_sub(r, r0) for r in poly.numerators[1:]] + list(poly.tail.generators))
+    return _bicone_verdict(d.tail, [poly for _, poly in support(d)])
 
 
 def _cell_faces(c: Cone) -> set[tuple[tuple[int, ...], ...]]:
@@ -164,7 +158,8 @@ def check_isolated(d: PolyhedralDivisor) -> Verdict:
     A facet is a value of u in the dual tail where the joint minimizing face
     has codimension one somewhere on the curve.  Facets whose degree sum lands
     strictly inside the tail face must give a smooth contracted variety; the
-    remaining facets only need regular fiber charts.
+    remaining facets only need regular fiber charts.  Faces, codimensions, the
+    facet rule and the charts are read off integer vertex rows.
     """
     require_proper(d)
     if not d.base.projective:
@@ -173,6 +168,8 @@ def check_isolated(d: PolyhedralDivisor) -> Verdict:
     if cone_dim(d.tail) != n:
         raise UnsupportedShape("the isolatedness test needs a full-dimensional tail cone")
     sup = support(d)
+    ell = math.lcm(*[poly.den for _, poly in sup])  # one denominator for every vertex row
+    rows = [[tuple(x * (ell // poly.den) for x in r) for r in poly.numerators] for _, poly in sup]
     seen: set[tuple[tuple[int, ...], ...]] = set()
     for cell in quasifan(d).maximal_cells:
         for face_gens in _cell_faces(cell.cone):
@@ -180,31 +177,37 @@ def check_isolated(d: PolyhedralDivisor) -> Verdict:
                 continue
             seen.add(face_gens)
             u = tuple(sum(g[i] for g in face_gens) for i in range(n))
-            faces = [(p, face_of(poly, u)) for p, poly in sup]
             tau = face_of_cone(d.tail, u)
-            codims = [n - _poly_dim(f) for _, f in faces]
+            faces = []  # the rows of each point's face minimized by u
+            for rs in rows:
+                vals = [dot(u, r) for r in rs]
+                best = min(vals)
+                faces.append([r for v, r in zip(vals, rs) if v == best])
+            codims = [n - matrix_rank([vec_sub(r, f[0]) for r in f[1:]] + [*tau.generators]) for f in faces]
             codims.append(n - cone_dim(tau))
             if min(codims) != 1:
                 continue
-            # the face sum lies in tau and misses 0 iff its support values are
-            # >= 0 at tau's half-spaces and > 0 at their sum (is_proper's rule)
+            # the face sum lies in tau and misses 0 iff its support values (ell times them)
+            # are >= 0 at tau's half-spaces and > 0 at their sum; the "> 0" half makes this
+            # is_proper's rule for the facet divisor on P^1, so no require_proper there
             hs = halfspaces(tau)
             inner = tuple(sum(h[i] for h in hs) for i in range(n))
-            vals = [sum(support_value(f, h)[0] for _, f in faces) for h in (*hs, inner)]
+            vals = [sum(min(dot(h, r) for r in f) for f in faces) for h in (*hs, inner)]
             if min(vals[:-1], default=0) >= 0 and vals[-1] > 0:
-                sub = polyhedral_divisor(
-                    d.base, tau, [(p, f) for p, f in faces], canonical=d.canonical
-                )
-                ok = check_smooth(sub)
+                sub = [(p, face_of(poly, u)) for p, poly in sup]
+                if d.base.kind == PROJECTIVE_LINE:
+                    ok = _bicone_verdict(tau, [f for _, f in sub])
+                else:
+                    ok = check_smooth(polyhedral_divisor(d.base, tau, sub, canonical=d.canonical))
                 if not ok:
                     return Verdict("no", witness=list(u), reason=f"facet variety is singular: {ok.reason}")
             else:
-                for p, f in faces:
-                    if not is_regular(_chart_cone(f)):
+                for (p, _), f in zip(sup, faces):
+                    if not is_regular(_cayley_cone([(ell, f, (1,))], tau)):
                         return Verdict(
                             "no", witness=list(u), reason=f"singular fiber chart at {p} on this facet"
                         )
-                if not is_regular(_chart_cone(tail_polyhedron(tau))):
+                if not is_regular(_cayley_cone([(1, [(0,) * n], (1,))], tau)):
                     return Verdict("no", witness=list(u), reason="singular generic chart on this facet")
     return Verdict("yes")
 

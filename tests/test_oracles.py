@@ -95,7 +95,38 @@ def _sympy_factors(a):
 @ORACLE
 @given(int_matrices(square=True))
 def test_determinant_matches_sympy(a):
-    assert determinant(a) == sympy.Matrix(a).det()
+    det = determinant(a)
+    assert type(det) is int
+    assert det == sympy.Matrix(a).det()
+
+
+@st.composite
+def fraction_matrices(draw):
+    """Square Fraction matrices up to 5x5 with denominators up to 12; some
+    made singular (a row a multiple of another) and some with a zero first
+    pivot (a zero leading entry, or a whole zero first column)."""
+    n = draw(st.integers(1, 5))
+    fracs = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+    a = [draw(st.lists(fracs, min_size=n, max_size=n)) for _ in range(n)]
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i != j:
+            c = draw(fracs)
+            a[j] = [c * x for x in a[i]]
+    pivot = draw(st.sampled_from(["kept", "zero_entry", "zero_column"]))
+    if pivot != "kept":
+        for row in a[: 1 if pivot == "zero_entry" else n]:
+            row[0] = F(0)
+    return a
+
+
+@ORACLE
+@given(fraction_matrices())
+def test_determinant_of_fraction_matrices_matches_sympy(a):
+    det = determinant(a)
+    assert type(det) is F
+    expected = sympy.Matrix(a).det()
+    assert sympy.Rational(det.numerator, det.denominator) == expected
 
 
 @ORACLE

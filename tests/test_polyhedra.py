@@ -3,10 +3,13 @@ import signal
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polysing.errors import TailMismatch, UnboundedBelow, UnsupportedRank
 from polysing.polyhedra import (
     Cone,
+    SigmaPolyhedron,
     cayley_cone,
     cone_contains,
     dual_cone,
@@ -132,6 +135,39 @@ def test_cayley_examples():
     assert set(cc.generators) == {(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 1, 6)}
     with pytest.raises(TailMismatch):
         cayley_cone([(py, (1,)), (tail_polyhedron(make_cone([(1, 0)], 2)), (-1,))])
+
+
+def _cayley_by_fractions(parts):
+    """`cayley_cone` as a `make_cone` over Fraction vectors (marker, vertex)
+    and (0, ray): the construction the integer rows must reproduce."""
+    tail = parts[0][0].tail
+    k = len(parts[0][1])
+    gens = [tuple(F(x) for x in marker) + v for poly, marker in parts for v in poly.vertices]
+    gens += [tuple(F(0) for _ in range(k)) + tuple(F(x) for x in r) for r in tail.generators]
+    return make_cone(gens, k + tail.ambient_rank)
+
+
+@st.composite
+def _cayley_parts(draw):
+    """One or two parts with markers (1,) and (-1,) over one tail of rank
+    1-4, whose generators span only the first `dim` coordinates (so the tail
+    is often not full-dimensional, or the zero cone), with 1-3 vertices of
+    denominators up to 12."""
+    n = draw(st.integers(1, 4))
+    dim = draw(st.integers(0, n))
+    ray = st.lists(st.integers(-3, 3), min_size=dim, max_size=dim).map(lambda v: v + [0] * (n - dim))
+    tail = make_cone([r for r in draw(st.lists(ray, max_size=4)) if any(r)], n)
+    coord = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+    vertex = st.lists(coord, min_size=n, max_size=n).map(tuple)
+    markers = draw(st.sampled_from([[(1,)], [(-1,)], [(1,), (-1,)], [(-1,), (1,)], [(1,), (1,)]]))
+    polys = [tuple(sorted(draw(st.sets(vertex, min_size=1, max_size=3)))) for _ in markers]
+    return [(SigmaPolyhedron(vs, tail), m) for vs, m in zip(polys, markers)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_cayley_parts())
+def test_cayley_cone_matches_the_fraction_construction(parts):
+    assert cayley_cone(parts) == _cayley_by_fractions(parts)
 
 
 def test_normal_quasifan_ex1():

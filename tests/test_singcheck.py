@@ -9,10 +9,13 @@ from hypothesis import strategies as st
 
 from polysing.cli import parse_document
 from polysing.divclass import gorenstein_solve
-from polysing.errors import NotQGorensteinError, UnsupportedBase, UnsupportedRank
+from polysing.errors import NotQGorensteinError, PolysingError, UnsupportedBase, UnsupportedRank
 from polysing.pdiv import (
     A1,
+    ABSTRACT,
     P1,
+    PROJECTIVE_LINE,
+    Curve,
     Point,
     evaluate,
     floor_degree,
@@ -24,6 +27,7 @@ from polysing.pdiv import (
     support,
 )
 from polysing.polyhedra import (
+    cayley_cone,
     cone_contains,
     cone_dim,
     face_of,
@@ -35,9 +39,10 @@ from polysing.polyhedra import (
     sigma_polyhedron,
     tail_polyhedron,
 )
-from polysing.ratlin import dot, invert_unimodular, saturated_basis, vec_add
+from polysing.ratlin import dot, invert_unimodular, matrix_rank, saturated_basis, vec_add, vec_sub
 from polysing.singcheck import (
     DEFAULT_BUDGET,
+    Verdict,
     _adapted_basis,
     boundary_data,
     check_cm,
@@ -533,6 +538,13 @@ def test_cell_faces_keep_the_reference_order(case):
         assert list(sc._cell_faces(c)) == list(_reference_cell_faces(c))
 
 
+def _poly_dim(poly):
+    """Dimension of a sigma-polyhedron: the rank of its vertex differences
+    together with its tail generators."""
+    r0 = poly.numerators[0]
+    return matrix_rank([vec_sub(r, r0) for r in poly.numerators[1:]] + list(poly.tail.generators))
+
+
 def _isolated_by_minkowski_sums(d, seen_branches):
     """`check_isolated` as it was before it read the facet test off support
     values: the face sum is built as a Minkowski sum, and each vertex is tested
@@ -552,7 +564,7 @@ def _isolated_by_minkowski_sums(d, seen_branches):
             u = tuple(sum(g[i] for g in face_gens) for i in range(n))
             faces = [(p, face_of(poly, u)) for p, poly in sup]
             tau = face_of_cone(d.tail, u)
-            codims = [n - sc._poly_dim(f) for _, f in faces]
+            codims = [n - _poly_dim(f) for _, f in faces]
             codims.append(n - cone_dim(tau))
             if min(codims) != 1:
                 continue
@@ -560,28 +572,32 @@ def _isolated_by_minkowski_sums(d, seen_branches):
             for _, f in faces:
                 total = minkowski_sum(total, f)
             inside = all(cone_contains(tau, r) for r in total.numerators)
-            zero = tuple(F(0) for _ in range(n))
+            rule = inside and tuple(F(0) for _ in range(n)) not in total.vertices
+            sub = polyhedral_divisor(d.base, tau, [(p, f) for p, f in faces], canonical=d.canonical)
+            if d.base.kind == PROJECTIVE_LINE:
+                # on P^1 the facet rule is properness of the facet divisor
+                assert rule == (is_proper(sub).status == "proper"), list(u)
             seen_branches["zero_tau"] += not tau.generators
-            if inside and zero not in total.vertices:
+            if rule:
                 seen_branches["inside"] += 1
-                sub = polyhedral_divisor(d.base, tau, [(p, f) for p, f in faces], canonical=d.canonical)
                 ok = check_smooth(sub)
                 if not ok:
                     return ("no", list(u), f"facet variety is singular: {ok.reason}")
             else:
                 seen_branches["outside"] += 1
                 for p, f in faces:
-                    if not is_regular(sc._chart_cone(f)):
+                    if not is_regular(cayley_cone([(f, (1,))])):
                         return ("no", list(u), f"singular fiber chart at {p} on this facet")
-                if not is_regular(sc._chart_cone(tail_polyhedron(tau))):
+                if not is_regular(cayley_cone([(tail_polyhedron(tau), (1,))])):
                     return ("no", list(u), "singular generic chart on this facet")
     return ("yes", None, "")
 
 
-def _orthant_divisors(count):
-    """Proper rank-2/3 divisors on P^1 over the orthant, half of them with an
-    extra tail ray that has one negative entry; the vertices at infinity are
-    shifted so that the degree polyhedron lies in the open orthant."""
+def _orthant_divisors(count, base=P1):
+    """Rank-2/3 divisors over the orthant, half of them with an extra tail
+    ray that has one negative entry; the vertices at the first point are
+    shifted so that the degree polyhedron lies in the open orthant.  On P^1
+    the points are inf, 0, 1, 2; on an abstract curve they are labels."""
     rng = random.Random(14)
     for _ in range(count):
         n = rng.choice((2, 3))
@@ -592,6 +608,8 @@ def _orthant_divisors(count):
             rays.append(extra)
         tail = make_cone(rays, n)
         points = [Point.infinity()] + [Point.coord(i) for i in range(rng.randint(1, 3))]
+        if base.kind == ABSTRACT:
+            points = [Point.label(f"p{i}") for i in range(len(points))]
         verts = [
             [[F(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(n)] for _ in range(rng.randint(1, 3))]
             for _ in points
@@ -600,13 +618,15 @@ def _orthant_divisors(count):
             shift = F(1, rng.randint(1, 6)) - sum(min(v[j] for v in vs) for vs in verts)
             for v in verts[0]:
                 v[j] += shift
-        yield polyhedral_divisor(P1, tail, {p: sigma_polyhedron(vs, tail) for p, vs in zip(points, verts)})
+        yield polyhedral_divisor(base, tail, {p: sigma_polyhedron(vs, tail) for p, vs in zip(points, verts)})
 
 
 def test_isolated_matches_the_minkowski_sum_facet_test():
     """Verdict, witness and reason agree with the Minkowski-sum oracle on
     seeded proper divisors: orthant tails with and without an extra ray,
-    ex1-shaped divisors with a degree-zero face, and factorial constructions."""
+    ex1-shaped divisors with a degree-zero face, and factorial constructions.
+    On every P^1 facet the oracle also checks that the facet rule holds exactly
+    when the facet divisor is proper; both sides occur."""
     divisors = list(_orthant_divisors(200)) + list(_degree_zero_face_family(60))
     for mus in [((1, 1), (2,), (3,)), ((1, 1), (1, 1), (3,)), ((1, 1, 1), (2,), (3,)), ((2, 2), (3,), (5,))]:
         divisors.append(construct_divisor(admissible_data(list(zip(default_points(3), mus)))))
@@ -622,3 +642,44 @@ def test_isolated_matches_the_minkowski_sum_facet_test():
         verdicts[v.status] += 1
     assert checked >= 200
     assert min(branches.values()) > 0 and min(verdicts.values()) > 0, (branches, verdicts)
+
+
+def _outcome(fn):
+    """(status, witness, reason) of a verdict or oracle tuple, or the type of
+    the polysing error raised on the way."""
+    try:
+        v = fn()
+    except PolysingError as exc:
+        return type(exc)
+    return (v.status, v.witness, v.reason) if isinstance(v, Verdict) else v
+
+
+def test_isolated_on_a_genus_one_base_matches_the_oracle():
+    """On an abstract genus-1 base, verdict, witness and reason, or the
+    exception type, agree with the Minkowski-sum oracle on seeded proper
+    divisors and on lattice-vertex ones, with both verdicts occurring.
+
+    No facet there meets the facet rule: properness on a genus >= 1 base
+    makes min <u, deg D> positive at every dual generator, hence at every
+    nonzero u of the dual tail, while a face sum inside tau has <u, .> = 0.
+    """
+    base = Curve(ABSTRACT, 1)
+    divisors = list(_orthant_divisors(200, base=base))
+    for n in (2, 3):
+        tail = make_cone([[int(i == j) for j in range(n)] for i in range(n)], n)
+        for k in (1, 2, 3):
+            # vertices (k, .., k) and k - 1 copies of (-1, .., -1): deg D = (1, .., 1)
+            verts = [[k if i == 0 else -1] * n for i in range(k)]
+            coeffs = {Point.label(f"q{i}"): sigma_polyhedron([v], tail) for i, v in enumerate(verts)}
+            divisors.append(polyhedral_divisor(base, tail, coeffs))
+    branches = {"inside": 0, "outside": 0, "zero_tau": 0}
+    verdicts = {"yes": 0, "no": 0}
+    for d in divisors:
+        if is_proper(d).status != "proper":
+            continue
+        got = _outcome(lambda: check_isolated(d))
+        assert got == _outcome(lambda: _isolated_by_minkowski_sums(d, branches))
+        if isinstance(got, tuple):
+            verdicts[got[0]] += 1
+    assert branches["inside"] == 0 and branches["outside"] > 0, branches
+    assert min(verdicts.values()) > 0, verdicts
