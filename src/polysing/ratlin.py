@@ -258,8 +258,7 @@ def determinant(a: Matrix):
         if not work[k][k]:
             pivot_row = next((i for i in range(k + 1, n) if work[i][k]), None)
             if pivot_row is None:
-                # a zero in the type of the first pivot entry
-                return 0 * next((row[0] for row in a if row[0]), a[0][0])
+                return 0 if scale is None else Fraction(0)
             work[k], work[pivot_row] = work[pivot_row], work[k]
             sign = -sign
         pk = work[k][k]

@@ -26,7 +26,6 @@ from .pdiv import (
     evaluate,
     extremal_data,
     floor_degree,
-    polyhedral_divisor,
     quasifan,
     rank,
     require_proper,
@@ -189,16 +188,13 @@ def check_isolated(d: PolyhedralDivisor) -> Verdict:
                 continue
             # the face sum lies in tau and misses 0 iff its support values (ell times them)
             # are >= 0 at tau's half-spaces and > 0 at their sum; the "> 0" half makes this
-            # is_proper's rule for the facet divisor on P^1, so no require_proper there
+            # is_proper's rule for the facet divisor on P^1, so no require_proper there.
+            # On a genus >= 1 base a proper divisor has <u, face sum> > 0, so it never holds.
             hs = halfspaces(tau)
             inner = tuple(sum(h[i] for h in hs) for i in range(n))
             vals = [sum(min(dot(h, r) for r in f) for f in faces) for h in (*hs, inner)]
             if min(vals[:-1], default=0) >= 0 and vals[-1] > 0:
-                sub = [(p, face_of(poly, u)) for p, poly in sup]
-                if d.base.kind == PROJECTIVE_LINE:
-                    ok = _bicone_verdict(tau, [f for _, f in sub])
-                else:
-                    ok = check_smooth(polyhedral_divisor(d.base, tau, sub, canonical=d.canonical))
+                ok = _bicone_verdict(tau, [face_of(poly, u) for _, poly in sup])
                 if not ok:
                     return Verdict("no", witness=list(u), reason=f"facet variety is singular: {ok.reason}")
             else:

@@ -103,8 +103,9 @@ def test_determinant_matches_sympy(a):
 @st.composite
 def fraction_matrices(draw):
     """Square Fraction matrices up to 5x5 with denominators up to 12; some
-    made singular (a row a multiple of another) and some with a zero first
-    pivot (a zero leading entry, or a whole zero first column)."""
+    made singular (a row a multiple of another), some with a zero first
+    pivot (a zero leading entry, or a whole zero first column), and some
+    with their integral entries given as int."""
     n = draw(st.integers(1, 5))
     fracs = st.fractions(min_value=-5, max_value=5, max_denominator=12)
     a = [draw(st.lists(fracs, min_size=n, max_size=n)) for _ in range(n)]
@@ -117,6 +118,8 @@ def fraction_matrices(draw):
     if pivot != "kept":
         for row in a[: 1 if pivot == "zero_entry" else n]:
             row[0] = F(0)
+    if draw(st.booleans()):
+        a = [[int(x) if x.denominator == 1 else x for x in row] for row in a]
     return a
 
 
@@ -124,7 +127,7 @@ def fraction_matrices(draw):
 @given(fraction_matrices())
 def test_determinant_of_fraction_matrices_matches_sympy(a):
     det = determinant(a)
-    assert type(det) is F
+    assert type(det) is (int if all(type(x) is int for row in a for x in row) else F)
     expected = sympy.Matrix(a).det()
     assert sympy.Rational(det.numerator, det.denominator) == expected
 
