@@ -467,7 +467,7 @@ def charts_report(d: pdiv.PolyhedralDivisor) -> dict:
         }
     )
     if d.base.kind == pdiv.PROJECTIVE_LINE:
-        bic = singcheck._two_point_bicone(d.tail, [poly for _, poly in pdiv.support(d)])
+        bic = singcheck._two_point_bicone(d.tail, *pdiv._support_rows(d))
         if bic is not None:
             out["bicone"] = {
                 "generators": [list(g) for g in bic.generators],

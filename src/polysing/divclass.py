@@ -86,7 +86,7 @@ def _monster_rows(data: SystemData, class_rows: Sequence[Sequence[int]]) -> list
     for i, v, m in data.vertices:
         row = [0] * s
         row[i] = m
-        rows.append(row + [int(m * x) for x in v])
+        rows.append(row + [x.numerator * (m // x.denominator) for x in v])
     for r in data.extremal_rays:
         rows.append([0] * s + list(r))
     return rows

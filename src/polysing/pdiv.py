@@ -2,6 +2,7 @@
 extremal data and curve-level cohomology dimensions."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
@@ -251,10 +252,24 @@ class Properness:
         return self.status == "proper"
 
 
-def _deg_value(d: PolyhedralDivisor, u: Sequence) -> Fraction:
-    """min <u, deg D> = sum over the support of min <u, D_p>, for u in the
-    dual of the tail: the support function of deg D without its polyhedron."""
-    return sum((support_value(poly, u)[0] for _, poly in support(d)), Fraction(0))
+@_memoized
+def _support_rows(d: PolyhedralDivisor) -> tuple[int, tuple]:
+    """ell, the lcm of the support's denominators, and each support point's
+    vertex rows over ell: the support as integers, one denominator throughout."""
+    sup = support(d)
+    ell = math.lcm(*[poly.den for _, poly in sup])
+    scaled = [(ell // poly.den, poly.numerators) for _, poly in sup]
+    return ell, tuple(tuple(tuple(x * k for x in r) for r in rows) for k, rows in scaled)
+
+
+def _deg_value(d: PolyhedralDivisor, u: Sequence) -> int:
+    """ell * min <u, deg D> = sum over the support of min <u, row>, for u in
+    the dual of the tail: the support function of deg D without its
+    polyhedron, scaled by the positive ell of `_support_rows`."""
+    for g in d.tail.generators:
+        if dot(u, g) < 0:
+            raise UnboundedBelow(f"<{tuple(u)}, {g}> < 0 on a tail ray")
+    return sum(min([dot(u, r) for r in rows]) for rows in _support_rows(d)[1])
 
 
 @_memoized
@@ -345,16 +360,12 @@ def higher_direct_dims(d: PolyhedralDivisor, u: Sequence[int]) -> tuple[int, int
     for g in d.tail.generators:
         if dot(lattice, g) < 0:
             raise UnboundedBelow("u lies outside the dual tail cone")
-    fdeg = _floor_degree(_floor_rows(d), lattice)
+    fdeg = _floor_degree(_support_rows(d), lattice)
     return max(fdeg + 1, 0), max(-fdeg - 1, 0)
 
 
-@_memoized
-def _floor_rows(d: PolyhedralDivisor) -> tuple:
-    """(integer vertex rows, their denominator) at each support point."""
-    return tuple((poly.numerators, poly.den) for _, poly in support(d))
-
-
-def _floor_degree(rows, u: Sequence[int]) -> int:
-    """sum_p floor(min <u, D_p>) over `_floor_rows`, for a lattice point u of the dual tail."""
-    return sum(min([dot(u, row) for row in nums]) // den for nums, den in rows)
+def _floor_degree(support_rows, u: Sequence[int]) -> int:
+    """sum_p floor(min <u, D_p>) over `_support_rows`, for a lattice point u of
+    the dual tail: min <u, row> // ell is that floor, as ell / den is a positive integer."""
+    ell, rows = support_rows
+    return sum(min([dot(u, r) for r in rs]) // ell for rs in rows)

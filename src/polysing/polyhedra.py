@@ -280,11 +280,6 @@ def is_tail_trivial(p: SigmaPolyhedron) -> bool:
     return p.vertices == (tuple(Fraction(0) for _ in range(p.tail.ambient_rank)),)
 
 
-def translate(p: SigmaPolyhedron, w: Sequence) -> SigmaPolyhedron:
-    wv = _rat_vec(w)
-    return SigmaPolyhedron(tuple(sorted(vec_add(v, wv) for v in p.vertices)), p.tail)
-
-
 def support_value(p: SigmaPolyhedron, u: Sequence) -> tuple[Fraction, tuple[tuple[Fraction, ...], ...]]:
     """Exact min of <u, .> over p with the full set of attaining vertices."""
     for g in p.tail.generators:

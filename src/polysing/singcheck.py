@@ -23,6 +23,7 @@ from .pdiv import (
     PolyhedralDivisor,
     QDivisor,
     _memoized,
+    _support_rows,
     evaluate,
     extremal_data,
     floor_degree,
@@ -33,19 +34,16 @@ from .pdiv import (
 )
 from .polyhedra import (
     Cone,
-    SigmaPolyhedron,
     _cayley_cone,
     cayley_cone,
     cone_dim,
     dual_cone,
-    face_of,
     face_of_cone,
     halfspaces,
     is_regular,
     lattice_points,
     minimal_generators,
     tail_polyhedron,
-    translate,
 )
 from .ratlin import dot, matrix_rank, mu, smith_normal_form, vec_add, vec_sub
 
@@ -80,34 +78,29 @@ def boundary_data(d: PolyhedralDivisor) -> BoundaryData:
     return BoundaryData(tuple(mus), QDivisor.of(terms))
 
 
-def _is_lattice_translate(poly: SigmaPolyhedron) -> bool:
-    return len(poly.vertices) == 1 and mu(poly.vertices[0]) == 1
-
-
-def _two_point_bicone(tail: Cone, polys: Sequence[SigmaPolyhedron]) -> Cone | None:
-    """Cayley bicone of the divisor after translating lattice-point coefficients
-    away; None when more than two coefficients resist such a translation."""
+def _two_point_bicone(tail: Cone, ell: int, faces: Sequence[Sequence[tuple[int, ...]]]) -> Cone | None:
+    """Cayley bicone of the coefficients with these vertex rows over ell, after
+    translating lattice-point coefficients away; None when more than two
+    coefficients resist such a translation."""
     n = tail.ambient_rank
-    shift = tuple(Fraction(0) for _ in range(n))
-    nontrivial: list[SigmaPolyhedron] = []
-    for poly in polys:
-        if _is_lattice_translate(poly):
-            shift = vec_add(shift, poly.vertices[0])
+    shift = (0,) * n
+    nontrivial = []
+    for rows in faces:
+        if len(rows) == 1 and all(x % ell == 0 for x in rows[0]):
+            shift = vec_add(shift, rows[0])
         else:
-            nontrivial.append(poly)
+            nontrivial.append(rows)
     if len(nontrivial) > 2:
         return None
-    while len(nontrivial) < 2:
-        nontrivial.append(tail_polyhedron(tail))
-    delta_y = translate(nontrivial[0], shift)
-    delta_z = nontrivial[1]
-    return cayley_cone([(delta_y, (1,)), (delta_z, (-1,))])
+    delta_y, delta_z = nontrivial + [[(0,) * n]] * (2 - len(nontrivial))
+    return _cayley_cone([(ell, [vec_add(r, shift) for r in delta_y], (1,)), (ell, delta_z, (-1,))], tail)
 
 
-def _bicone_verdict(tail: Cone, polys: Sequence[SigmaPolyhedron]) -> Verdict:
-    """Smoothness over P^1 of a proper divisor with these coefficients; lattice
-    translates of the tail, the tail itself among them, are translated away."""
-    bic = _two_point_bicone(tail, polys)
+def _bicone_verdict(tail: Cone, ell: int, faces: Sequence[Sequence[tuple[int, ...]]]) -> Verdict:
+    """Smoothness over P^1 of a proper divisor whose coefficients have these
+    vertex rows over ell; lattice translates of the tail, the tail itself
+    among them, are translated away."""
+    bic = _two_point_bicone(tail, ell, faces)
     if bic is None:
         return Verdict("no", reason="more than two coefficients are not lattice translates of the tail")
     if is_regular(bic):
@@ -135,7 +128,7 @@ def check_smooth(d: PolyhedralDivisor) -> Verdict:
         return Verdict("yes")
     if d.base.kind == ABSTRACT:
         return Verdict("no", reason="a smooth complexity-one variety has base P^1 or an affine curve")
-    return _bicone_verdict(d.tail, [poly for _, poly in support(d)])
+    return _bicone_verdict(d.tail, *_support_rows(d))
 
 
 def _cell_faces(c: Cone) -> set[tuple[tuple[int, ...], ...]]:
@@ -167,8 +160,7 @@ def check_isolated(d: PolyhedralDivisor) -> Verdict:
     if cone_dim(d.tail) != n:
         raise UnsupportedShape("the isolatedness test needs a full-dimensional tail cone")
     sup = support(d)
-    ell = math.lcm(*[poly.den for _, poly in sup])  # one denominator for every vertex row
-    rows = [[tuple(x * (ell // poly.den) for x in r) for r in poly.numerators] for _, poly in sup]
+    ell, rows = _support_rows(d)
     seen: set[tuple[tuple[int, ...], ...]] = set()
     for cell in quasifan(d).maximal_cells:
         for face_gens in _cell_faces(cell.cone):
@@ -194,7 +186,7 @@ def check_isolated(d: PolyhedralDivisor) -> Verdict:
             inner = tuple(sum(h[i] for h in hs) for i in range(n))
             vals = [sum(min(dot(h, r) for r in f) for f in faces) for h in (*hs, inner)]
             if min(vals[:-1], default=0) >= 0 and vals[-1] > 0:
-                ok = _bicone_verdict(tau, [face_of(poly, u) for _, poly in sup])
+                ok = _bicone_verdict(tau, ell, faces)
                 if not ok:
                     return Verdict("no", witness=list(u), reason=f"facet variety is singular: {ok.reason}")
             else:

@@ -16,8 +16,8 @@ from .pdiv import (
     Point,
     PolyhedralDivisor,
     _floor_degree,
-    _floor_rows,
     _memoized,
+    _support_rows,
     coefficient_at,
     polyhedral_divisor,
     rank,
@@ -270,11 +270,11 @@ def hilbert_compare(
     rows.append(tuple(-x for x in weight))
     rhs.append(-d_max)
     # h0 as in higher_direct_dims; no dual-tail check per point: the tail generators are rows with rhs 0
-    floor_rows = _floor_rows(d)
+    support_rows = _support_rows(d)
     for u in lattice_points(rows, rhs, n):
         w = dot(weight, u)
         if 0 <= w <= d_max:
-            side_a[w] += max(_floor_degree(floor_rows, u) + 1, 0)
+            side_a[w] += max(_floor_degree(support_rows, u) + 1, 0)
     side_b = [1] + [0] * d_max
     for w in w_vars:
         for deg in range(w, d_max + 1):

@@ -7,6 +7,11 @@ is checked against the minimum of Fraction dots over the vertices,
 `higher_direct_dims` against the floor degree of the evaluated divisor, `dot`
 against a generator-expression sum, and the graded comparison's side A
 against a sum of `higher_direct_dims` over the lattice points of its region.
+The divisor's integer support rows over one denominator ell are checked
+against the Fraction sums they replaced: `_deg_value` against ell times the
+sum of support values, `is_proper` and `extremal_data` against their Fraction
+versions, `_floor_degree` against the floors over each point's own
+denominator.
 """
 import math
 import random
@@ -16,21 +21,34 @@ from itertools import combinations_with_replacement, product
 
 import pytest
 
-from polysing.errors import DegenerateInput, UnboundedBelow, UnsupportedBase
+from polysing.errors import DegenerateInput, NotProperError, UnboundedBelow, UnsupportedBase
 from polysing.pdiv import (
     A1,
+    ABSTRACT,
     P1,
+    PROJECTIVE_LINE,
+    Curve,
+    ExtremalData,
     Point,
+    Properness,
+    _deg_value,
+    _floor_degree,
+    _interior_sample,
+    _support_rows,
     evaluate,
+    extremal_data,
     floor_degree,
     higher_direct_dims,
     is_proper,
     polyhedral_divisor,
     rank,
+    support,
 )
 from polysing.polyhedra import (
     SigmaPolyhedron,
     _max_minor_gcd,
+    dual_cone,
+    halfspaces,
     is_pointed,
     is_regular,
     lattice_points,
@@ -45,7 +63,7 @@ from polysing.ufdgen import admissible_data, construct_divisor, default_points, 
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 KERNEL = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -317,3 +335,182 @@ def test_hilbert_compare_rejects_a_base_other_than_p1():
     d = polyhedral_divisor(A1, tail, {Point.coord(0): sigma_polyhedron([(F(1, 2), 1)], tail)})
     with pytest.raises(UnsupportedBase, match="on P\\^1 only"):
         hilbert_compare(d, ((1, 0), (0, 1)), (), (1, 1), 4)
+
+
+def _deg_value_by_support_values(d, u):
+    """ell times the sum of the Fraction support values over the support,
+    ell the lcm of the support's denominators."""
+    sup = support(d)
+    ell = math.lcm(*[poly.den for _, poly in sup])
+    return ell * sum((support_value(poly, u)[0] for _, poly in sup), F(0))
+
+
+@KERNEL
+@given(st.data())
+def test_deg_value_matches_the_sum_of_support_values(data):
+    """Tails of every dimension from 0 to n, points with their own
+    denominators up to 12, and u both inside and outside the dual tail."""
+    n = data.draw(st.integers(1, 4))
+    vec = st.tuples(*[st.integers(-2, 2)] * n)
+    tail = make_cone(data.draw(st.lists(vec, max_size=n)), n)
+    assume(is_pointed(tail))
+    coeffs = {}
+    for i in range(data.draw(st.integers(1, 4))):
+        q = data.draw(st.integers(1, 12))
+        coord = st.builds(F, st.integers(-3 * q, 3 * q), st.just(q))
+        verts = data.draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=3, unique=True))
+        coeffs[Point.coord(i)] = SigmaPolyhedron(tuple(sorted(verts)), tail)
+    d = polyhedral_divisor(P1, tail, coeffs)
+    assume(support(d))
+    if data.draw(st.booleans()):
+        hs = halfspaces(tail)
+        weights = data.draw(st.lists(st.integers(0, 3), min_size=len(hs), max_size=len(hs)))
+        u = tuple(sum(w * h[i] for w, h in zip(weights, hs)) for i in range(n))
+    else:
+        u = data.draw(st.tuples(*[st.integers(-5, 5)] * n))
+    try:
+        expected = _deg_value_by_support_values(d, u)
+    except UnboundedBelow:
+        with pytest.raises(UnboundedBelow):
+            _deg_value(d, u)
+        return
+    got = _deg_value(d, u)
+    assert type(got) is int and got == expected
+
+
+def _is_proper_by_fractions(d):
+    """`is_proper` as it was when it compared Fraction sums of support values."""
+    if not d.base.projective:
+        return Properness("proper")
+    sigma = d.tail
+    if not sigma.generators:
+        return Properness("not_proper", tuple(0 for _ in range(sigma.ambient_rank)))
+    if not support(d):
+        return Properness("not_proper", _interior_sample(sigma))
+
+    def value(u):
+        return sum((support_value(poly, u)[0] for _, poly in support(d)), F(0))
+
+    if d.base.kind == PROJECTIVE_LINE:
+        hs = halfspaces(sigma)
+        for h in hs:
+            if value(h) < 0:
+                return Properness("not_proper", h)
+        inner = tuple(sum(h[i] for h in hs) for i in range(sigma.ambient_rank))
+        if value(inner) <= 0:
+            return Properness("not_proper", _interior_sample(sigma))
+        return Properness("proper")
+    status = "proper"
+    for g in dual_cone(sigma).generators:
+        val = value(g)
+        if val < 0:
+            return Properness("not_proper", g)
+        if val == 0:
+            status = "inconclusive_genus"
+    return Properness(status)
+
+
+def _extremal_data_by_fractions(d):
+    """`extremal_data` as it was when a ray met deg D where the Fraction sum
+    of support values vanished."""
+    if _is_proper_by_fractions(d).status != "proper":
+        raise NotProperError("not proper")
+    rays = minimal_generators(d.tail)
+    if not d.base.projective:
+        return ExtremalData(tuple(rays), ())
+    hs = halfspaces(d.tail)
+    ext, non_ext = [], []
+    for r in rays:
+        u_r = tuple(sum(h[i] for h in hs if dot(h, r) == 0) for i in range(rank(d)))
+        value = sum((support_value(poly, u_r)[0] for _, poly in support(d)), F(0))
+        (non_ext if value == 0 else ext).append(r)
+    return ExtremalData(tuple(ext), tuple(non_ext))
+
+
+def _seeded_degree_divisors(count, base):
+    """Rank-1 to 3 divisors over the orthant, half of them with an extra tail
+    ray that has one negative entry.  Each point has its own denominator.
+    Per coordinate the first point's vertices are shifted so that the
+    minima sum to a positive value, to exactly 0, or not at all, so that
+    every properness verdict occurs."""
+    rng = random.Random(16)
+    for _ in range(count):
+        n = rng.randint(1, 3)
+        rays = [[int(i == j) for j in range(n)] for i in range(n)]
+        if n > 1 and rng.random() < 0.5:
+            extra = [1] * n
+            extra[rng.randrange(n)] = -1
+            rays.append(extra)
+        tail = make_cone(rays, n)
+        k = rng.randint(1, 4)
+        if base.kind == ABSTRACT:
+            points = [Point.label(f"p{i}") for i in range(k)]
+        else:
+            points = [Point.infinity()] + [Point.coord(i) for i in range(k - 1)]
+        verts = []
+        for _ in points:
+            q = rng.randint(1, 12)
+            vs = [[F(rng.randint(-2 * q, 2 * q), q) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+            verts.append(vs)
+        for j in range(n):
+            mode = rng.choice(("positive", "zero", "none"))
+            if mode != "none":
+                target = F(rng.randint(1, 6), 6) if mode == "positive" else F(0)
+                shift = target - sum(min(v[j] for v in vs) for vs in verts)
+                for v in verts[0]:
+                    v[j] += shift
+        yield polyhedral_divisor(base, tail, {p: sigma_polyhedron(vs, tail) for p, vs in zip(points, verts)})
+
+
+def _result_or_error(fn):
+    try:
+        return fn()
+    except NotProperError as exc:
+        return type(exc)
+
+
+def test_is_proper_and_extremal_data_match_the_fraction_sums():
+    """Verdict, witness and extremal rays agree with the Fraction versions on
+    seeded divisors on P^1 and on a genus-1 curve; every properness status
+    occurs, and so do rays that meet deg D."""
+    statuses = {"proper": 0, "not_proper": 0, "inconclusive_genus": 0}
+    met = 0
+    divisors = list(_seeded_degree_divisors(200, P1)) + list(_seeded_degree_divisors(100, Curve(ABSTRACT, 1)))
+    for d in divisors:
+        got = is_proper(d)
+        assert got == _is_proper_by_fractions(d)
+        statuses[got.status] += 1
+        ext = _result_or_error(lambda: extremal_data(d))
+        assert ext == _result_or_error(lambda: _extremal_data_by_fractions(d))
+        met += isinstance(ext, ExtremalData) and bool(ext.non_extremal_rays)
+    assert min(statuses.values()) > 0 and met > 0, (statuses, met)
+
+
+def test_floor_degree_matches_floors_over_each_denominator():
+    """Over one ell, the floor degree equals the sum of floor(min <u, row> /
+    den) over each point's own rows and denominator; the points' denominators
+    are coprime or differ, so ell is a proper multiple of each."""
+    rng = random.Random(16)
+    checked = 0
+    for _ in range(100):
+        n = rng.randint(1, 3)
+        tail = make_cone([[int(i == j) for j in range(n)] for i in range(n)], n)
+        dens = rng.sample((3, 4, 5, 7), rng.randint(2, 4))
+        coeffs = {}
+        for i, q in enumerate(dens):
+            units = [k for k in range(-3 * q, 3 * q) if math.gcd(k, q) == 1]
+            # a first coordinate over exactly q makes q the point's denominator
+            verts = [
+                [F(rng.choice(units), q)] + [F(rng.randint(-3 * q, 3 * q), q) for _ in range(n - 1)]
+                for _ in range(rng.randint(1, 3))
+            ]
+            coeffs[Point.coord(i)] = sigma_polyhedron(verts, tail)
+        d = polyhedral_divisor(P1, tail, coeffs)
+        rows = _support_rows(d)
+        polys = [poly for _, poly in support(d)]
+        assert rows[0] == math.lcm(*dens) and all(poly.den < rows[0] for poly in polys)
+        for u in product(range(4), repeat=n):
+            expected = sum(math.floor(F(min(dot(u, r) for r in p.numerators), p.den)) for p in polys)
+            assert _floor_degree(rows, u) == expected
+            checked += 1
+    assert checked > 1000

@@ -17,6 +17,7 @@ from polysing.pdiv import (
     PROJECTIVE_LINE,
     Curve,
     Point,
+    _support_rows,
     evaluate,
     floor_degree,
     is_proper,
@@ -27,6 +28,7 @@ from polysing.pdiv import (
     support,
 )
 from polysing.polyhedra import (
+    SigmaPolyhedron,
     cayley_cone,
     cone_contains,
     cone_dim,
@@ -39,7 +41,7 @@ from polysing.polyhedra import (
     sigma_polyhedron,
     tail_polyhedron,
 )
-from polysing.ratlin import dot, invert_unimodular, matrix_rank, saturated_basis, vec_add, vec_sub
+from polysing.ratlin import dot, invert_unimodular, matrix_rank, mu, saturated_basis, vec_add, vec_sub
 from polysing.singcheck import (
     DEFAULT_BUDGET,
     Verdict,
@@ -621,15 +623,22 @@ def _orthant_divisors(count, base=P1):
         yield polyhedral_divisor(base, tail, {p: sigma_polyhedron(vs, tail) for p, vs in zip(points, verts)})
 
 
+def _facet_oracle_divisors():
+    """Seeded orthant divisors, the degree-zero family and four factorial
+    constructions: the divisors of the facet oracles."""
+    divisors = list(_orthant_divisors(200)) + list(_degree_zero_face_family(60))
+    for mus in [((1, 1), (2,), (3,)), ((1, 1), (1, 1), (3,)), ((1, 1, 1), (2,), (3,)), ((2, 2), (3,), (5,))]:
+        divisors.append(construct_divisor(admissible_data(list(zip(default_points(3), mus)))))
+    return divisors
+
+
 def test_isolated_matches_the_minkowski_sum_facet_test():
     """Verdict, witness and reason agree with the Minkowski-sum oracle on
     seeded proper divisors: orthant tails with and without an extra ray,
     ex1-shaped divisors with a degree-zero face, and factorial constructions.
     On every P^1 facet the oracle also checks that the facet rule holds exactly
     when the facet divisor is proper; both sides occur."""
-    divisors = list(_orthant_divisors(200)) + list(_degree_zero_face_family(60))
-    for mus in [((1, 1), (2,), (3,)), ((1, 1), (1, 1), (3,)), ((1, 1, 1), (2,), (3,)), ((2, 2), (3,), (5,))]:
-        divisors.append(construct_divisor(admissible_data(list(zip(default_points(3), mus)))))
+    divisors = _facet_oracle_divisors()
     branches = {"inside": 0, "outside": 0, "zero_tau": 0}
     verdicts = {"yes": 0, "no": 0}
     checked = 0
@@ -683,3 +692,94 @@ def test_isolated_on_a_genus_one_base_matches_the_oracle():
             verdicts[got[0]] += 1
     assert branches["inside"] == 0 and branches["outside"] > 0, branches
     assert min(verdicts.values()) > 0, verdicts
+
+
+def _bicone_by_polyhedra(tail, polys):
+    """`_two_point_bicone` as it was on polyhedra: single lattice-point
+    coefficients are translated away in Fractions, the first remaining one
+    is moved by their sum, and `cayley_cone` joins it to the second."""
+    n = tail.ambient_rank
+    shift = tuple(F(0) for _ in range(n))
+    nontrivial = []
+    for poly in polys:
+        if len(poly.vertices) == 1 and mu(poly.vertices[0]) == 1:
+            shift = vec_add(shift, poly.vertices[0])
+        else:
+            nontrivial.append(poly)
+    if len(nontrivial) > 2:
+        return None
+    while len(nontrivial) < 2:
+        nontrivial.append(tail_polyhedron(tail))
+    moved = SigmaPolyhedron(tuple(sorted(vec_add(v, shift) for v in nontrivial[0].vertices)), tail)
+    return cayley_cone([(moved, (1,)), (nontrivial[1], (-1,))])
+
+
+def _translate_divisors(count):
+    """Rank-1 to 3 divisors on P^1 with 0-4 single lattice-point coefficients
+    (nonzero ones among them) and 0-3 others: a fractional vertex, or
+    several vertices, some of them integral."""
+    rng = random.Random(16)
+    for _ in range(count):
+        n = rng.randint(1, 3)
+        rays = [[int(i == j) for j in range(n)] for i in range(n)]
+        if n > 1 and rng.random() < 0.5:
+            extra = [1] * n
+            extra[rng.randrange(n)] = -1
+            rays.append(extra)
+        tail = make_cone(rays, n)
+        integral = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(rng.randint(0, 4))]
+        polys = [sigma_polyhedron([v], tail) for v in integral]
+        for _ in range(rng.randint(0, 3)):
+            q = rng.choice((1, 2, 3, 4, 6))
+            verts = [[F(rng.randint(-3 * q, 3 * q), q) for _ in range(n)] for _ in range(rng.randint(1, 3))]
+            polys.append(sigma_polyhedron(verts, tail))
+        rng.shuffle(polys)
+        points = [Point.infinity()] + [Point.coord(i) for i in range(len(polys) - 1)]
+        yield polyhedral_divisor(P1, tail, dict(zip(points, polys)))
+
+
+def test_bicone_from_rows_matches_the_polyhedron_construction():
+    """On seeded divisors on P^1, the bicone from the support's integer rows
+    equals the one from translated polyhedra, and both give None when more
+    than two coefficients are not lattice translates."""
+    import polysing.singcheck as sc
+
+    outcomes = {"cone": 0, "none": 0, "translated": 0}
+    for d in _translate_divisors(300):
+        polys = [poly for _, poly in support(d)]
+        got = sc._two_point_bicone(d.tail, *_support_rows(d))
+        assert got == _bicone_by_polyhedra(d.tail, polys)
+        outcomes["none" if got is None else "cone"] += 1
+        translates = [p for p in polys if len(p.vertices) == 1 and mu(p.vertices[0]) == 1]
+        outcomes["translated"] += got is not None and bool(translates)
+    assert min(outcomes.values()) > 0, outcomes
+
+
+def test_facet_bicones_match_the_polyhedron_construction():
+    """On every facet of the divisors of the Minkowski-sum oracle test, the
+    bicone from the faces' integer rows equals the one from face polyhedra."""
+    import polysing.singcheck as sc
+
+    divisors = _facet_oracle_divisors()
+    outcomes = {"cone": 0, "none": 0}
+    for d in divisors:
+        if is_proper(d).status != "proper":
+            continue
+        n = rank(d)
+        ell, rows = _support_rows(d)
+        seen = set()
+        for cell in quasifan(d).maximal_cells:
+            for face_gens in sc._cell_faces(cell.cone):
+                if not face_gens or face_gens in seen:
+                    continue
+                seen.add(face_gens)
+                u = tuple(sum(g[i] for g in face_gens) for i in range(n))
+                tau = face_of_cone(d.tail, u)
+                polys = [face_of(poly, u) for _, poly in support(d)]
+                if min([n - _poly_dim(f) for f in polys] + [n - cone_dim(tau)]) != 1:
+                    continue
+                faces = [[r for r in rs if dot(u, r) == min(dot(u, s) for s in rs)] for rs in rows]
+                got = sc._two_point_bicone(tau, ell, faces)
+                assert got == _bicone_by_polyhedra(tau, polys), list(u)
+                outcomes["none" if got is None else "cone"] += 1
+    assert min(outcomes.values()) > 0, outcomes
