@@ -34,11 +34,9 @@ from .polyhedra import (
     SigmaPolyhedron,
     cayley_cone,
     dual_cone,
-    face_of,
     is_regular,
     make_cone,
     minkowski_sum,
-    mu,
     normal_quasifan,
     sigma_polyhedron,
     support_value,
@@ -48,6 +46,7 @@ from .ratlin import (
     SmithForm,
     determinant,
     ext_gcd_multi,
+    mu,
     smith_normal_form,
     solve_exact,
 )

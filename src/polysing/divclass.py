@@ -25,7 +25,7 @@ from .pdiv import (
     require_proper,
     support,
 )
-from .polyhedra import cone_dim
+from .polyhedra import cone_dim, lattice_multiple, tail_polyhedron
 from .ratlin import (
     Inconsistent,
     SmithForm,
@@ -48,7 +48,7 @@ class SystemData:
 
     points: tuple[Point, ...]
     b: tuple[Fraction, ...]  # canonical coefficient per point
-    vertices: tuple[tuple[int, tuple[Fraction, ...], int], ...]  # (point idx, v, mu)
+    vertices: tuple[tuple[int, int, tuple[int, ...]], ...]  # (point idx, mu, mu * v)
     extremal_rays: tuple[tuple[int, ...], ...]
     n: int  # lattice rank
 
@@ -60,16 +60,13 @@ def _system_data(d: PolyhedralDivisor) -> SystemData:
     ext = extremal_data(d)
     sup = dict(support(d))
     pts = sorted(set(sup) | {p for p, _ in d.canonical.terms})
-    n = rank(d)
+    trivial = tail_polyhedron(d.tail)
     verts = []
     for i, p in enumerate(pts):
-        if p in sup:
-            for v in sup[p].vertices:
-                verts.append((i, v, mu(v)))
-        else:
-            verts.append((i, tuple(Fraction(0) for _ in range(n)), 1))
+        poly = sup.get(p, trivial)
+        verts += [(i, *lattice_multiple(poly.den, row)) for row in poly.numerators]
     b = tuple(d.canonical.coefficient(p) for p in pts)
-    return SystemData(tuple(pts), b, tuple(verts), ext.extremal_rays, n)
+    return SystemData(tuple(pts), b, tuple(verts), ext.extremal_rays, rank(d))
 
 
 def _monster_rows(data: SystemData, class_rows: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -83,10 +80,10 @@ def _monster_rows(data: SystemData, class_rows: Sequence[Sequence[int]]) -> list
     """
     s = len(data.points)
     rows = [[int(x) for x in row] + [0] * data.n for row in class_rows]
-    for i, v, m in data.vertices:
+    for i, m, mv in data.vertices:
         row = [0] * s
         row[i] = m
-        rows.append(row + [x.numerator * (m // x.denominator) for x in v])
+        rows.append(row + list(mv))
     for r in data.extremal_rays:
         rows.append([0] * s + list(r))
     return rows
@@ -142,7 +139,7 @@ def class_group(d: PolyhedralDivisor) -> ClassGroup:
     if cone_dim(d.tail) == data.n:
         # relation rows are independent for a full-dimensional tail, so the
         # Smith free rank must agree with the ray/vertex dimension count
-        per_point = sum(len(poly.vertices) - 1 for _, poly in support(d))
+        per_point = sum(len(poly.numerators) - 1 for _, poly in support(d))
         r_cl = 1 if d.base.projective else 0
         count_ok = r_cl + per_point + len(data.extremal_rays) == data.n
         if q_fact != count_ok:
@@ -178,7 +175,7 @@ def _solve_canonical(
     Returns (a, u, index) with the index the lcm of all denominators.
     """
     rhs = [Fraction(0)] * (len(smith.left) - len(data.vertices) - len(data.extremal_rays))
-    rhs += [m * data.b[i] + m - 1 for i, _, m in data.vertices]
+    rhs += [m * data.b[i] + m - 1 for i, m, _ in data.vertices]
     rhs += [Fraction(-1)] * len(data.extremal_rays)
     sol = smith_solve(smith, rhs)
     if isinstance(sol, Inconsistent):
@@ -216,13 +213,21 @@ def gorenstein_solve(d: PolyhedralDivisor) -> GorensteinResult:
 
 def _check_rank_one_path(d: PolyhedralDivisor, res: GorensteinSolution) -> None:
     """Cross-check the full solve against the degree formula u0 = deg(K+B)/deg(D1)."""
-    verts = [poly.vertices[0] for _, poly in support(d)]
-    denom = sum((v[0] for v in verts), Fraction(0))
+    # in rank one every point of the system carries exactly one vertex
+    verts = _class_system(d)[0].vertices
+    denom = sum(Fraction(mv[0], m) for _, m, mv in verts)
     if denom == 0:
         return
-    u0 = (d.canonical.degree + sum(Fraction(mu(v) - 1, mu(v)) for v in verts)) / denom
+    u0 = (d.canonical.degree + sum(Fraction(m - 1, m) for _, m, _ in verts)) / denom
     if res.u != (u0,):
         raise InternalCheck(f"rank-1 fast path disagrees: {res.u} vs {u0}")
+
+
+def _lattice_multiple(v: Sequence) -> tuple[int, tuple[int, ...]]:
+    """(mu, mu * v) of a vertex given by int or Fraction coordinates."""
+    vq = [Fraction(x) for x in v]
+    m = mu(vq)
+    return m, tuple(int(x * m) for x in vq)
 
 
 def gorenstein_solve_numerical(
@@ -241,15 +246,10 @@ def gorenstein_solve_numerical(
     s = len(classes)
     if len(b) != s or len(vertex_lists) != s:
         raise ValueError("per-point data lengths disagree")
-    vertices = []
-    for i, verts in enumerate(vertex_lists):
-        for v in verts:
-            vq = tuple(Fraction(x) for x in v)
-            vertices.append((i, vq, mu(vq)))
     data = SystemData(
         tuple(Point.label(f"Z{i+1}") for i in range(s)),
         tuple(Fraction(x) for x in b),
-        tuple(vertices),
+        tuple((i, *_lattice_multiple(v)) for i, verts in enumerate(vertex_lists) for v in verts),
         tuple(tuple(int(x) for x in ray) for ray in extremal_rays),
         lattice_rank,
     )
@@ -297,10 +297,10 @@ def generator_degrees(d: PolyhedralDivisor, target) -> tuple[tuple[int, ...], QD
     data, _ = _class_system(d)
     outside = False
     if on_point:
-        tv = tuple(Fraction(x) for x in target[1])
-        hits = [(data.points[i], v) == (target[0], tv) for i, v, _ in data.vertices]
+        key = (target[0], *_lattice_multiple(target[1]))
+        hits = [(data.points[i], m, mv) == key for i, m, mv in data.vertices]
         hits += [False] * len(data.extremal_rays)
-        outside = target[0] not in data.points and tv == (0,) * data.n
+        outside = target[0] not in data.points and key[2] == (0,) * data.n
     else:
         ray = tuple(int(x) for x in target)
         hits = [False] * len(data.vertices) + [r == ray for r in data.extremal_rays]

@@ -1,18 +1,18 @@
 """Cones, sigma-polyhedra, support functions, quasifans and Cayley cones.
 
-Everything is exact: cones are given by primitive integer generators, polyhedra
-by rational vertices plus a tail cone.  Half-space descriptions are derived on
-demand by one double description sweep per cone, and extreme rays from it by an
-active-set rank test.  Only `dual_cone` and `normal_quasifan` cap the rank at
-4; `construct` builds divisors of rank 7-8.  Every normal cone (which
-candidates are vertices, the vertices of a Minkowski sum and the quasifan
-cells) comes from one integer sweep per joint vertex selection,
-`_normal_cones`.
+Everything is exact: cones are given by primitive integer generators,
+polyhedra by integer vertex rows over one denominator plus a tail cone.
+Half-space descriptions are derived on demand by one double description sweep
+per cone, and extreme rays from it by an active-set rank test.  Only
+`dual_cone` and `normal_quasifan` cap the rank at 4; `construct` builds
+divisors of rank 7-8.  Every normal cone (which candidates are vertices, the
+vertices of a Minkowski sum and the quasifan cells) comes from one integer
+sweep per joint vertex selection, `_normal_cones`.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
@@ -24,7 +24,7 @@ from .ratlin import (
     determinant,
     dot,
     matrix_rank,
-    mu,  # re-exported: the lcm of denominators lives in ratlin
+    mu,
     primitive,
     scale_to_int,
     solve_exact,
@@ -205,38 +205,39 @@ def face_of_cone(c: Cone, u: Sequence) -> Cone:
 
 @dataclass(frozen=True)
 class SigmaPolyhedron:
-    """conv(vertices) + tail, with every listed vertex a true vertex.
+    """conv(vertices) + tail, with every vertex a true vertex.
 
-    `numerators` holds the vertices as integer rows over the common
-    denominator `den`, so that evaluation needs one Fraction per polyhedron
-    instead of one per vertex coordinate.
+    The vertices are the distinct, sorted integer rows `numerators` over the
+    least common denominator `den` (gcd(den, every entry) = 1), so that equal
+    polyhedra are equal dataclasses.  `vertices` derives the Fraction points.
     """
 
-    vertices: tuple[tuple[Fraction, ...], ...]
+    den: int
+    numerators: tuple[tuple[int, ...], ...]
     tail: Cone
-    den: int = field(init=False, repr=False, compare=False)
-    numerators: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        den, rows = _integer_rows(self.vertices)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "numerators", rows)
+    @property
+    def vertices(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.numerators)
 
 
-def _integer_rows(vertices) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """The common denominator of the vertices and their numerators over it."""
-    den = math.lcm(*[x.denominator for v in vertices for x in v])
-    return den, tuple(tuple(x.numerator * (den // x.denominator) for x in v) for v in vertices)
+def _reduced(den: int, rows: Sequence[tuple[int, ...]], tail: Cone) -> SigmaPolyhedron:
+    """The polyhedron of the sorted distinct rows over den, with den made least."""
+    g = math.gcd(den, *[x for row in rows for x in row])
+    return SigmaPolyhedron(den // g, tuple(tuple(x // g for x in row) for row in rows), tail)
 
 
-def _rat_vec(v: Sequence) -> tuple[Fraction, ...]:
-    return tuple(Fraction(x) for x in v)
+def lattice_multiple(den: int, row: Sequence[int]) -> tuple[int, tuple[int, ...]]:
+    """(mu, mu * v) for the vertex v = row / den: mu = den / gcd(den, *row) is
+    the least positive integer making v a lattice point."""
+    g = math.gcd(den, *row)
+    return den // g, tuple(x // g for x in row)
 
 
-def _normal_cones(vertex_sets, tail: Cone):
+def _normal_cones(row_sets, tail: Cone):
     """Yield (selection, constraints, generators) for each joint selection of
-    one vertex per set of (vertices, integer rows over one denominator): the
-    generators span the functionals in the dual of the tail that every
+    one row per set of integer vertex rows (each set over one denominator):
+    the generators span the functionals in the dual of the tail that every
     selected vertex minimizes over its set, cut out by the constraints w - v.
 
     The tail constraints go first, so the sweep starts from the dual of the
@@ -246,38 +247,38 @@ def _normal_cones(vertex_sets, tail: Cone):
     """
     start = (halfspaces(tail), tail.generators)
     # cuts[i][j] holds the constraints of vertex j of set i, built once for every selection
-    cuts = [[[primitive(vec_sub(w, r)) for w in rows if w != r] for r in rows] for _, rows in vertex_sets]
-    for selection, picks in zip(product(*[vs for vs, _ in vertex_sets]), product(*cuts)):
+    cuts = [[[primitive(vec_sub(w, r)) for w in rows if w != r] for r in rows] for rows in row_sets]
+    for selection, picks in zip(product(*row_sets), product(*cuts)):
         constraints = [a for cs in picks for a in cs]
         yield selection, constraints, _dd_halfspaces(constraints, tail.ambient_rank, start)
 
 
-def _true_vertices(
-    candidates: Sequence[tuple[Fraction, ...]], tail: Cone
-) -> tuple[tuple[Fraction, ...], ...]:
-    vs = sorted(set(candidates))
-    cones = _normal_cones([(vs, _integer_rows(vs)[1])], tail)
+def _true_vertices(candidates: Sequence[tuple[int, ...]], tail: Cone) -> tuple[tuple[int, ...], ...]:
+    """The candidate rows (over one denominator) that are vertices, sorted."""
+    cones = _normal_cones([sorted(set(candidates))], tail)
     return tuple(sel[0] for sel, _, gens in cones if matrix_rank(gens) == tail.ambient_rank)
 
 
 def sigma_polyhedron(vertices: Iterable[Sequence], tail: Cone) -> SigmaPolyhedron:
-    """Build a sigma-polyhedron, pruning redundant candidate vertices."""
-    verts = [_rat_vec(v) for v in vertices]
+    """Build a sigma-polyhedron from int or Fraction candidate vertices,
+    pruning redundant ones; the one place where vertices become rows."""
+    verts = [[Fraction(x) for x in v] for v in vertices]
     if not verts:
         raise ValueError("a sigma-polyhedron needs at least one vertex")
     if any(len(v) != tail.ambient_rank for v in verts):
         raise ValueError("vertex dimension mismatch")
-    return SigmaPolyhedron(_true_vertices(verts, tail), tail)
+    den = math.lcm(*[x.denominator for v in verts for x in v])
+    rows = [tuple(x.numerator * (den // x.denominator) for x in v) for v in verts]
+    return _reduced(den, _true_vertices(rows, tail), tail)
 
 
 def tail_polyhedron(tail: Cone) -> SigmaPolyhedron:
     """The neutral element of Minkowski addition: the tail cone itself."""
-    zero = tuple(Fraction(0) for _ in range(tail.ambient_rank))
-    return SigmaPolyhedron((zero,), tail)
+    return SigmaPolyhedron(1, ((0,) * tail.ambient_rank,), tail)
 
 
 def is_tail_trivial(p: SigmaPolyhedron) -> bool:
-    return p.vertices == (tuple(Fraction(0) for _ in range(p.tail.ambient_rank)),)
+    return p.numerators == ((0,) * p.tail.ambient_rank,)
 
 
 def support_value(p: SigmaPolyhedron, u: Sequence) -> tuple[Fraction, tuple[tuple[Fraction, ...], ...]]:
@@ -296,10 +297,10 @@ def minkowski_sum(a: SigmaPolyhedron, b: SigmaPolyhedron) -> SigmaPolyhedron:
     if a.tail != b.tail:
         raise TailMismatch("Minkowski summands must share one tail cone")
     n = a.tail.ambient_rank
-    cones = _normal_cones([(a.vertices, a.numerators), (b.vertices, b.numerators)], a.tail)
-    return SigmaPolyhedron(
-        tuple(sorted(vec_add(v, w) for (v, w), _, gens in cones if matrix_rank(gens) == n)), a.tail
-    )
+    den = math.lcm(a.den, b.den)
+    scaled = [[tuple(x * (den // p.den) for x in row) for row in p.numerators] for p in (a, b)]
+    cones = _normal_cones(scaled, a.tail)
+    return _reduced(den, sorted(vec_add(v, w) for (v, w), _, gens in cones if matrix_rank(gens) == n), a.tail)
 
 
 def cayley_cone(parts: Sequence[tuple[SigmaPolyhedron, Sequence[int]]]) -> Cone:
@@ -334,7 +335,7 @@ class QuasiCell:
     """A maximal cone of linearity together with the minimizing vertex selection."""
 
     cone: Cone
-    selection: tuple[tuple[Fraction, ...], ...]
+    selection: tuple[tuple[int, ...], ...]  # one vertex row per coefficient, over its den
 
 
 @dataclass(frozen=True)
@@ -353,7 +354,7 @@ def normal_quasifan(coeffs: Sequence[SigmaPolyhedron], sigma: Cone) -> QuasiFan:
             raise TailMismatch("coefficients must have tail cone sigma")
     solid = cone_dim(sigma) == n
     cells = []
-    for selection, cs, gens in _normal_cones([(p.vertices, p.numerators) for p in coeffs], sigma):
+    for selection, cs, gens in _normal_cones([p.numerators for p in coeffs], sigma):
         if matrix_rank(gens) != n:
             continue
         if solid:
@@ -362,12 +363,6 @@ def normal_quasifan(coeffs: Sequence[SigmaPolyhedron], sigma: Cone) -> QuasiFan:
             rays = minimal_generators(Cone(n, gens))
         cells.append(QuasiCell(Cone(n, rays), selection))
     return QuasiFan(tuple(sorted(cells, key=lambda c: c.cone.generators)))
-
-
-def face_of(p: SigmaPolyhedron, u: Sequence) -> SigmaPolyhedron:
-    """The face of p where <u, .> attains its minimum (u in the dual tail)."""
-    _, minimizers = support_value(p, u)
-    return SigmaPolyhedron(minimizers, face_of_cone(p.tail, u))
 
 
 def polytope_vertices(rows: Sequence[Sequence], rhs: Sequence, dim: int) -> list[tuple[Fraction, ...]]:

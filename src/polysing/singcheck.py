@@ -24,6 +24,7 @@ from .pdiv import (
     QDivisor,
     _memoized,
     _support_rows,
+    coefficient_at,
     evaluate,
     extremal_data,
     floor_degree,
@@ -41,11 +42,12 @@ from .polyhedra import (
     face_of_cone,
     halfspaces,
     is_regular,
+    lattice_multiple,
     lattice_points,
     minimal_generators,
     tail_polyhedron,
 )
-from .ratlin import dot, matrix_rank, mu, smith_normal_form, vec_add, vec_sub
+from .ratlin import dot, matrix_rank, smith_normal_form, vec_add, vec_sub
 
 DEFAULT_BUDGET = 10**6
 
@@ -72,7 +74,7 @@ def boundary_data(d: PolyhedralDivisor) -> BoundaryData:
     mus = []
     terms = []
     for p, poly in support(d):
-        m = max(mu(v) for v in poly.vertices)
+        m = max(lattice_multiple(poly.den, row)[0] for row in poly.numerators)
         mus.append((p, m))
         terms.append((p, Fraction(m - 1, m)))
     return BoundaryData(tuple(mus), QDivisor.of(terms))
@@ -252,16 +254,14 @@ def _scan_cell(d: PolyhedralDivisor, cell, budget: int):
     """Exact scan of one quasifan cell; returns ("ok", worst_u, worst_val),
     ("no", u, val) or ("budget",)."""
     n = rank(d)
-    sel = cell.selection
-    mus = [mu(v) for v in sel]
-    ell = math.lcm(*mus)
+    # each selected vertex as (mu, integer row): floor(<u, v>) = <u, row> // mu
+    int_sel = [lattice_multiple(poly.den, row) for (_, poly), row in zip(support(d), cell.selection)]
+    ell = math.lcm(*[m for m, _ in int_sel])
     # ell times the degree bound s_f - 1, where s_f sums (m - 1) / m
-    bound = sum((m - 1) * (ell // m) for m in mus) - ell
+    bound = sum((m - 1) * (ell // m) for m, _ in int_sel) - ell
     if bound < 0:
         # floors lose less than one in total, so every value stays above -1
         return ("ok", None, 0)
-    # each selected vertex as (mu, integer row): floor(<u, v>) = <u, row> // mu
-    int_sel = [(m, tuple(x.numerator * (m // x.denominator) for x in v)) for m, v in zip(mus, sel)]
     # ell times the degree direction; a positive scale keeps every sign test,
     # the slab's ceil ratio and the lattice points of the degree-bound row
     w_deg = tuple(sum(row[i] * (ell // m) for m, row in int_sel) for i in range(n))
@@ -384,16 +384,14 @@ def discrepancies(d: PolyhedralDivisor, sol: GorensteinResult) -> DiscrepancyRep
     """
     solution = require_gorenstein(sol)
     ext = extremal_data(d)
-    a = dict(solution.a)
     u = solution.u
-    sup = dict(support(d))
     entries = []
     for p, a_p in solution.a:
         b_p = d.canonical.coefficient(p)
-        verts = sup[p].vertices if p in sup else (tuple(Fraction(0) for _ in range(rank(d))),)
-        for v in verts:
-            m = mu(v)
-            val = m * (b_p - a_p - dot(u, v) + 1) - 1
+        poly = coefficient_at(d, p)
+        for v, row in zip(poly.vertices, poly.numerators):
+            m, mv = lattice_multiple(poly.den, row)
+            val = m * (b_p - a_p + 1) - dot(u, mv) - 1
             entries.append(DiscrepancyEntry("vertex", p, v, None, val, False))
     ext_set = set(ext.extremal_rays)
     for r in minimal_generators(d.tail):

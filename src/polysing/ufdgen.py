@@ -22,8 +22,8 @@ from .pdiv import (
     polyhedral_divisor,
     rank,
 )
-from .polyhedra import cone_dim, halfspaces, make_cone, lattice_points, sigma_polyhedron
-from .ratlin import dot, ext_gcd, ext_gcd_multi, mu, scale_to_int
+from .polyhedra import cone_dim, halfspaces, lattice_multiple, lattice_points, make_cone, sigma_polyhedron
+from .ratlin import dot, ext_gcd, ext_gcd_multi, scale_to_int
 from .singcheck import check_isolated
 
 
@@ -196,14 +196,14 @@ def presentation(data: AdmissibleData, divisor: PolyhedralDivisor | None = None)
         divisor = construct_divisor(data)
     degrees: list[tuple[int, ...]] = []
     for p, t in data.entries:
-        verts = coefficient_at(divisor, p).vertices
-        if len(verts) != len(t):
+        poly = coefficient_at(divisor, p)
+        if len(poly.numerators) != len(t):
             raise InternalCheck("one vertex per tuple member")
         # vertices are stored sorted; realign with the tuple through the
         # multiplicity (ties are symmetric in the relations, so any order works)
         by_mu: dict[int, list] = {}
-        for v in verts:
-            by_mu.setdefault(mu(v), []).append(v)
+        for v, row in zip(poly.vertices, poly.numerators):
+            by_mu.setdefault(lattice_multiple(poly.den, row)[0], []).append(v)
         for m in t:
             v = by_mu[m].pop(0)
             u, _ = generator_degrees(divisor, (p, v))

@@ -100,8 +100,7 @@ def test_gorenstein_representative_independence(ex1):
 
 def test_gorenstein_substitution(ex1, e8, a2, elliptic_nonminimal):
     from polysing.pdiv import support
-    from polysing.polyhedra import mu
-    from polysing.ratlin import dot
+    from polysing.ratlin import dot, mu
 
     for d in (ex1, e8, a2, elliptic_nonminimal):
         sol = gorenstein_solve(d)
@@ -145,8 +144,8 @@ def test_generator_degrees_e8(e8):
 
 def test_generator_degrees_reexpansion(ex1):
     from polysing.pdiv import support
-    from polysing.polyhedra import minimal_generators, mu
-    from polysing.ratlin import dot
+    from polysing.polyhedra import minimal_generators
+    from polysing.ratlin import dot, mu
 
     target = (Point.coord(1), (F(-1, 2), F(0)))
     u, fdiv = generator_degrees(ex1, target)

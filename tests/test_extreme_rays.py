@@ -124,7 +124,8 @@ def test_quasifan_over_a_tail_that_is_not_full_dimensional():
     def cells(coeffs):
         return [(cell.cone.generators, cell.selection) for cell in normal_quasifan(coeffs, tail).maximal_cells]
 
-    zero, step, up, half = (0, 0, 0), (1, -1, 0), (0, 0, 1), (F(1, 2), 0, 0)
+    # selections are vertex rows: c's vertex (1/2, 0, 0) is the row (1, 0, 0) over den 2
+    zero, step, up, half = (0, 0, 0), (1, -1, 0), (0, 0, 1), (1, 0, 0)
     # every cell holds the line through (0, 0, 1): the greedy branch
     assert cells([a, c]) == [
         (((0, 0, -1), (0, 0, 1), (0, 1, 0), (1, 1, 0)), (step, half)),

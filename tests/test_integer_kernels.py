@@ -51,14 +51,16 @@ from polysing.polyhedra import (
     halfspaces,
     is_pointed,
     is_regular,
+    lattice_multiple,
     lattice_points,
     make_cone,
     minimal_generators,
+    minkowski_sum,
     polytope_vertices,
     sigma_polyhedron,
     support_value,
 )
-from polysing.ratlin import dot, invert_unimodular, matrix_rank
+from polysing.ratlin import dot, invert_unimodular, matrix_rank, mu, vec_add
 from polysing.ufdgen import admissible_data, construct_divisor, default_points, hilbert_compare, presentation
 
 pytest.importorskip("hypothesis")
@@ -180,6 +182,13 @@ def test_is_regular_matches_description(data):
     assert is_regular(c) == _regular_by_description(c)
 
 
+def _listed(verts, tail):
+    """The polyhedron of exactly these vertices, unpruned, over their least
+    common denominator."""
+    den = math.lcm(*[F(x).denominator for v in verts for x in v])
+    return SigmaPolyhedron(den, tuple(sorted({tuple(int(F(x) * den) for x in v) for v in verts})), tail)
+
+
 def _support_value_by_fractions(p, u):
     """The minimum of <u, v> over the vertices, one Fraction dot per vertex."""
     for g in p.tail.generators:
@@ -198,7 +207,7 @@ def test_support_value_matches_fraction_dots(data):
     vec = st.tuples(*[st.integers(-2, 2)] * n)
     tail = make_cone(data.draw(st.lists(vec, max_size=n)), n)
     verts = data.draw(st.lists(st.tuples(*[fracs] * n), min_size=1, max_size=5, unique=True))
-    p = SigmaPolyhedron(tuple(sorted(verts)), tail)
+    p = _listed(verts, tail)
     coord = st.integers(-5, 5) | st.fractions(min_value=-5, max_value=5, max_denominator=6)
     u = data.draw(st.tuples(*[coord] * n))
     try:
@@ -257,17 +266,49 @@ def test_higher_direct_dims_match_floor_degree(case):
     assert higher_direct_dims(d, u) == (max(fdeg + 1, 0), max(-fdeg - 1, 0))
 
 
-def test_sigma_polyhedron_integer_rows_stay_out_of_equality():
-    tail = make_cone([(1, 0), (0, 1)])
-    a = sigma_polyhedron([(F(1, 2), F(2, 3)), (F(-3, 4), 5), (3, -1)], tail)
-    b = sigma_polyhedron([(F(3), F(-1)), (4, 6), (F(-3, 4), F(5)), (F(1, 2), F(2, 3))], tail)
-    assert len(a.vertices) == 3 and a is not b
-    assert a == b and hash(a) == hash(b)
-    assert a.den == 12
-    assert a.numerators == tuple(tuple(int(x * 12) for x in v) for v in a.vertices)
-    text = repr(a)
-    assert "den" not in text and "numerators" not in text
-    assert a != sigma_polyhedron([(F(1, 2), F(2, 3))], tail)
+@st.composite
+def _candidate_sets(draw):
+    """A pointed tail of rank 1-4 and 1-4 candidate vertices with
+    denominators up to 12."""
+    n = draw(st.integers(1, 4))
+    tail = make_cone(draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), max_size=n)), n)
+    assume(is_pointed(tail))
+    coord = st.builds(F, st.integers(-24, 24), st.integers(1, 12))
+    return tail, draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=4))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_candidate_sets(), st.randoms(use_true_random=False))
+def test_sigma_polyhedron_is_canonical(case, rng):
+    """Least den, round trip through `vertices`, one hash per polyhedron
+    whatever the candidate list, mu of every row, and a canonical den after
+    a Minkowski sum."""
+    tail, cands = case
+    p = sigma_polyhedron(cands, tail)
+    assert math.gcd(p.den, *[x for row in p.numerators for x in row]) == 1
+    assert p.numerators == tuple(sorted(set(p.numerators)))
+    assert sigma_polyhedron(p.vertices, p.tail) == p
+    # reordered and repeated candidates, ints where integral, and a midpoint
+    # of two candidates, which is never a vertex and can raise the denominator
+    other = [tuple(int(x) if x.denominator == 1 else x for x in v) for v in cands + cands[:1]]
+    rng.shuffle(other)
+    other.append(tuple((x + y) / 2 for x, y in zip(cands[0], cands[-1])))
+    q = sigma_polyhedron(other, tail)
+    assert q == p and hash(q) == hash(p) and q.den == p.den
+    for row, v in zip(p.numerators, p.vertices):
+        assert lattice_multiple(p.den, row) == (mu(v), tuple(int(x * mu(v)) for x in v))
+    total = minkowski_sum(p, q)
+    assert math.gcd(total.den, *[x for row in total.numerators for x in row]) == 1
+    assert total == sigma_polyhedron([vec_add(v, w) for v in p.vertices for w in q.vertices], tail)
+
+
+def test_minkowski_sum_of_two_halves_has_den_one():
+    ray = make_cone([(1, 0), (0, 1)])
+    half = sigma_polyhedron([(F(1, 2), F(3, 2))], ray)
+    assert half.den == 2 and half.numerators == ((1, 3),)
+    whole = minkowski_sum(half, half)
+    assert (whole.den, whole.numerators) == (1, ((1, 3),))
+    assert whole == sigma_polyhedron([(1, 3)], ray)
 
 
 def test_dot_rejects_a_length_mismatch():
@@ -359,7 +400,7 @@ def test_deg_value_matches_the_sum_of_support_values(data):
         q = data.draw(st.integers(1, 12))
         coord = st.builds(F, st.integers(-3 * q, 3 * q), st.just(q))
         verts = data.draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=3, unique=True))
-        coeffs[Point.coord(i)] = SigmaPolyhedron(tuple(sorted(verts)), tail)
+        coeffs[Point.coord(i)] = _listed(verts, tail)
     d = polyhedral_divisor(P1, tail, coeffs)
     assume(support(d))
     if data.draw(st.booleans()):

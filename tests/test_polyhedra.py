@@ -1,3 +1,4 @@
+import math
 import random
 import signal
 from fractions import Fraction as F
@@ -13,19 +14,18 @@ from polysing.polyhedra import (
     cayley_cone,
     cone_contains,
     dual_cone,
-    face_of,
+    face_of_cone,
     is_pointed,
     is_regular,
     make_cone,
     minimal_generators,
     minkowski_sum,
-    mu,
     normal_quasifan,
     sigma_polyhedron,
     support_value,
     tail_polyhedron,
 )
-from polysing.ratlin import dot
+from polysing.ratlin import dot, mu
 
 
 def test_dual_cone_examples():
@@ -161,7 +161,10 @@ def _cayley_parts(draw):
     vertex = st.lists(coord, min_size=n, max_size=n).map(tuple)
     markers = draw(st.sampled_from([[(1,)], [(-1,)], [(1,), (-1,)], [(-1,), (1,)], [(1,), (1,)]]))
     polys = [tuple(sorted(draw(st.sets(vertex, min_size=1, max_size=3)))) for _ in markers]
-    return [(SigmaPolyhedron(vs, tail), m) for vs, m in zip(polys, markers)]
+    # the listed vertices over their least denominator, unpruned: the tail may have lineality
+    dens = [math.lcm(*[x.denominator for v in vs for x in v]) for vs in polys]
+    rows = [tuple(tuple(int(x * den) for x in v) for v in vs) for den, vs in zip(dens, polys)]
+    return [(SigmaPolyhedron(den, rs, tail), m) for den, rs, m in zip(dens, rows, markers)]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -178,8 +181,8 @@ def test_normal_quasifan_ex1():
     qf = normal_quasifan([d0, d1, dinf], sigma)
     assert len(qf.maximal_cells) == 2
     cells = {cell.cone.generators: cell.selection[0] for cell in qf.maximal_cells}
-    assert cells[((0, 1), (1, 0))] == (F(1), F(0))
-    assert cells[((1, 0), (6, -1))] == (F(1), F(1))
+    assert cells[((0, 1), (1, 0))] == (1, 0)
+    assert cells[((1, 0), (6, -1))] == (1, 1)
 
 
 def test_normal_quasifan_single_vertex():
@@ -207,17 +210,23 @@ def test_quasifan_selector_realizes_min():
             u = tuple(sum(w * g[i] for w, g in zip(weights, gens)) for i in range(2))
             for poly, chosen in zip(coeffs, cell.selection):
                 val, mins = support_value(poly, u)
-                assert dot(u, chosen) == val
-                assert chosen in mins
+                assert F(dot(u, chosen), poly.den) == val
+                assert tuple(F(x, poly.den) for x in chosen) in mins
+
+
+def _face_of(p, u):
+    """The face of p where <u, .> attains its minimum (u in the dual tail)."""
+    _, minimizers = support_value(p, u)
+    return sigma_polyhedron(minimizers, face_of_cone(p.tail, u))
 
 
 def test_face_of_examples():
     sigma = make_cone([(1, 0), (1, 6)])
     d0 = sigma_polyhedron([(1, 0), (1, 1)], sigma)
-    f = face_of(d0, (0, 1))
+    f = _face_of(d0, (0, 1))
     assert f.vertices == ((F(1), F(0)),) and f.tail.generators == ((1, 0),)
-    assert face_of(d0, (0, 0)) == d0
-    f2 = face_of(d0, (6, -1))
+    assert _face_of(d0, (0, 0)) == d0
+    f2 = _face_of(d0, (6, -1))
     assert f2.vertices == ((F(1), F(1)),) and f2.tail.generators == ((1, 6),)
 
 

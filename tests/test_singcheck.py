@@ -28,17 +28,16 @@ from polysing.pdiv import (
     support,
 )
 from polysing.polyhedra import (
-    SigmaPolyhedron,
     cayley_cone,
     cone_contains,
     cone_dim,
-    face_of,
     face_of_cone,
     halfspaces,
     is_regular,
     make_cone,
     minkowski_sum,
     sigma_polyhedron,
+    support_value,
     tail_polyhedron,
 )
 from polysing.ratlin import dot, invert_unimodular, matrix_rank, mu, saturated_basis, vec_add, vec_sub
@@ -540,6 +539,12 @@ def test_cell_faces_keep_the_reference_order(case):
         assert list(sc._cell_faces(c)) == list(_reference_cell_faces(c))
 
 
+def _face_of(p, u):
+    """The face of p where <u, .> attains its minimum (u in the dual tail)."""
+    _, minimizers = support_value(p, u)
+    return sigma_polyhedron(minimizers, face_of_cone(p.tail, u))
+
+
 def _poly_dim(poly):
     """Dimension of a sigma-polyhedron: the rank of its vertex differences
     together with its tail generators."""
@@ -564,7 +569,7 @@ def _isolated_by_minkowski_sums(d, seen_branches):
                 continue
             seen.add(face_gens)
             u = tuple(sum(g[i] for g in face_gens) for i in range(n))
-            faces = [(p, face_of(poly, u)) for p, poly in sup]
+            faces = [(p, _face_of(poly, u)) for p, poly in sup]
             tau = face_of_cone(d.tail, u)
             codims = [n - _poly_dim(f) for _, f in faces]
             codims.append(n - cone_dim(tau))
@@ -710,7 +715,7 @@ def _bicone_by_polyhedra(tail, polys):
         return None
     while len(nontrivial) < 2:
         nontrivial.append(tail_polyhedron(tail))
-    moved = SigmaPolyhedron(tuple(sorted(vec_add(v, shift) for v in nontrivial[0].vertices)), tail)
+    moved = sigma_polyhedron([vec_add(v, shift) for v in nontrivial[0].vertices], tail)
     return cayley_cone([(moved, (1,)), (nontrivial[1], (-1,))])
 
 
@@ -775,7 +780,7 @@ def test_facet_bicones_match_the_polyhedron_construction():
                 seen.add(face_gens)
                 u = tuple(sum(g[i] for g in face_gens) for i in range(n))
                 tau = face_of_cone(d.tail, u)
-                polys = [face_of(poly, u) for _, poly in support(d)]
+                polys = [_face_of(poly, u) for _, poly in support(d)]
                 if min([n - _poly_dim(f) for f in polys] + [n - cone_dim(tau)]) != 1:
                     continue
                 faces = [[r for r in rs if dot(u, r) == min(dot(u, s) for s in rs)] for rs in rows]

@@ -97,6 +97,27 @@ def test_unimodular_inverse_and_saturation_are_referenced_only_in_ratlin():
     assert not found, found
 
 
+def test_vertex_rows_are_made_only_in_sigma_polyhedron():
+    """A sigma-polyhedron stores integer rows over one denominator:
+    `sigma_polyhedron` is the one place that reads a vertex coordinate's
+    numerator, and singcheck and ufdgen take each multiplicity from a row
+    through `lattice_multiple`, not from `mu` of a Fraction vertex."""
+    found = []
+    for name in ("polyhedra", "pdiv", "divclass", "singcheck", "ufdgen"):
+        path = SRC / f"{name}.py"
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = set()
+        for node in ast.walk(tree) if name == "polyhedra" else ():
+            if isinstance(node, ast.FunctionDef) and node.name == "sigma_polyhedron":
+                allowed |= {id(inner) for inner in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "numerator" and id(node) not in allowed:
+                found.append(f"{path.name}:{node.lineno}")
+            elif name in ("singcheck", "ufdgen") and "mu" in _referenced_names(node):
+                found.append(f"{path.name}:{getattr(node, 'lineno', '?')}: mu")
+    assert not found, found
+
+
 def _unbounded_caches(tree):
     """`functools.cache` and `lru_cache(maxsize=None)` nodes of a module."""
     for node in ast.walk(tree):
