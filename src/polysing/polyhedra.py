@@ -6,8 +6,9 @@ Half-space descriptions are derived on demand by one double description sweep
 per cone, and extreme rays from it by an active-set rank test.  Only
 `dual_cone` and `normal_quasifan` cap the rank at 4; `construct` builds
 divisors of rank 7-8.  Every normal cone (which candidates are vertices, the
-vertices of a Minkowski sum and the quasifan cells) comes from one integer
-sweep per joint vertex selection, `_normal_cones`.
+vertices of a Minkowski sum and the quasifan cells) comes from one common
+refinement, `_normal_cones`, that resumes each full-dimensional cell's sweep
+one vertex set at a time.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import DegenerateInput, TailMismatch, UnboundedBelow, UnsupportedRank
@@ -83,15 +84,14 @@ def _extreme_rays(gens, normals, n: int) -> tuple[tuple[int, ...], ...]:
 
 def _dd_halfspaces(
     constraints: Sequence[tuple[int, ...]], rank: int, resume: tuple | None = None
-) -> tuple[tuple[int, ...], ...]:
-    """Generators of {u : <a, u> >= 0 for all a} by double description.
-
-    Above 2 * rank + 4 candidates they are pruned by `_extreme_rays` against
-    the constraints so far, which never discards a needed generator; redundant
-    ones survive at or below that size, and with lineality.  `resume` =
-    (rays, done) continues a sweep that has processed the distinct primitive
-    constraints `done` and holds the candidates `rays`; by default the sweep
-    starts from the whole space.
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """The state (rays, done) of a double description sweep: the sorted rays
+    generate {u : <a, u> >= 0 for all a in done}, the distinct primitive
+    constraints processed so far.  Above 2 * rank + 4 candidates they are
+    pruned by `_extreme_rays` against `done`, which never discards a needed
+    generator; redundant ones survive at or below that size, and with
+    lineality.  The sweep continues from the state `resume`, by default the
+    whole space with nothing done.
     """
     if resume is None:
         resume = ([tuple(s * (j == i) for j in range(rank)) for i in range(rank) for s in (1, -1)], ())
@@ -115,13 +115,13 @@ def _dd_halfspaces(
             # keeping a few redundant generators is harmless; prune only when
             # the candidate set could start compounding
             rays = _extreme_rays(rays, done, matrix_rank(done))
-    return tuple(sorted(rays))
+    return tuple(sorted(rays)), tuple(done)
 
 
 @lru_cache(maxsize=CONE_CACHE_SIZE)
 def halfspaces(c: Cone) -> tuple[tuple[int, ...], ...]:
     """Primitive normals h with c = {v : <h, v> >= 0 for all h} (not minimal)."""
-    return _dd_halfspaces(c.generators, c.ambient_rank)
+    return _dd_halfspaces(c.generators, c.ambient_rank)[0]
 
 
 def cone_contains(c: Cone, v: Sequence) -> bool:
@@ -234,29 +234,29 @@ def lattice_multiple(den: int, row: Sequence[int]) -> tuple[int, tuple[int, ...]
     return den // g, tuple(x // g for x in row)
 
 
-def _normal_cones(row_sets, tail: Cone):
-    """Yield (selection, constraints, generators) for each joint selection of
-    one row per set of integer vertex rows (each set over one denominator):
-    the generators span the functionals in the dual of the tail that every
-    selected vertex minimizes over its set, cut out by the constraints w - v.
+def _normal_cones(row_sets, tail: Cone) -> list:
+    """(selection, generators, normals) for each joint selection of one row
+    per set of integer vertex rows (each set over one denominator) whose
+    normal cone is full-dimensional, in lexicographic order.  The cone is cut
+    out of the dual of the tail by the cuts w - v of each selected v; its
+    normals are the tail's generators and those cuts, made primitive.
 
-    The tail constraints go first, so the sweep starts from the dual of the
-    tail, which is pointed for a full-dimensional tail.  That state is the
-    same for every selection: each sweep resumes from it (the tail's
-    generators are already distinct and primitive).
+    The cells refine the dual of the tail (full-dimensional iff the tail is
+    pointed) one set at a time: each cell's sweep resumes with one vertex's
+    cuts, and a cell that loses full rank is dropped with every refinement.
     """
-    start = (halfspaces(tail), tail.generators)
-    # cuts[i][j] holds the constraints of vertex j of set i, built once for every selection
-    cuts = [[[primitive(vec_sub(w, r)) for w in rows if w != r] for r in rows] for rows in row_sets]
-    for selection, picks in zip(product(*row_sets), product(*cuts)):
-        constraints = [a for cs in picks for a in cs]
-        yield selection, constraints, _dd_halfspaces(constraints, tail.ambient_rank, start)
-
-
-def _true_vertices(candidates: Sequence[tuple[int, ...]], tail: Cone) -> tuple[tuple[int, ...], ...]:
-    """The candidate rows (over one denominator) that are vertices, sorted."""
-    cones = _normal_cones([sorted(set(candidates))], tail)
-    return tuple(sel[0] for sel, _, gens in cones if matrix_rank(gens) == tail.ambient_rank)
+    n = tail.ambient_rank
+    cells = [((), (halfspaces(tail), tail.generators))] if is_pointed(tail) else []
+    for rows in row_sets:
+        refined = []
+        for selection, state in cells:
+            for r in rows:
+                cuts = [vec_sub(w, r) for w in rows if w != r]
+                swept = _dd_halfspaces(cuts, n, state) if cuts else state
+                if not cuts or matrix_rank(swept[0]) == n:
+                    refined.append(((*selection, r), swept))
+        cells = refined
+    return [(selection, rays, done) for selection, (rays, done) in cells]
 
 
 def sigma_polyhedron(vertices: Iterable[Sequence], tail: Cone) -> SigmaPolyhedron:
@@ -269,7 +269,8 @@ def sigma_polyhedron(vertices: Iterable[Sequence], tail: Cone) -> SigmaPolyhedro
         raise ValueError("vertex dimension mismatch")
     den = math.lcm(*[x.denominator for v in verts for x in v])
     rows = [tuple(x.numerator * (den // x.denominator) for x in v) for v in verts]
-    return _reduced(den, _true_vertices(rows, tail), tail)
+    # the candidate rows that are vertices: those with a full-dimensional normal cone
+    return _reduced(den, [sel[0] for sel, _, _ in _normal_cones([sorted(set(rows))], tail)], tail)
 
 
 def tail_polyhedron(tail: Cone) -> SigmaPolyhedron:
@@ -296,11 +297,10 @@ def minkowski_sum(a: SigmaPolyhedron, b: SigmaPolyhedron) -> SigmaPolyhedron:
     meet in a full-dimensional cone."""
     if a.tail != b.tail:
         raise TailMismatch("Minkowski summands must share one tail cone")
-    n = a.tail.ambient_rank
     den = math.lcm(a.den, b.den)
     scaled = [[tuple(x * (den // p.den) for x in row) for row in p.numerators] for p in (a, b)]
     cones = _normal_cones(scaled, a.tail)
-    return _reduced(den, sorted(vec_add(v, w) for (v, w), _, gens in cones if matrix_rank(gens) == n), a.tail)
+    return _reduced(den, sorted(vec_add(v, w) for (v, w), _, _ in cones), a.tail)
 
 
 def cayley_cone(parts: Sequence[tuple[SigmaPolyhedron, Sequence[int]]]) -> Cone:
@@ -354,11 +354,9 @@ def normal_quasifan(coeffs: Sequence[SigmaPolyhedron], sigma: Cone) -> QuasiFan:
             raise TailMismatch("coefficients must have tail cone sigma")
     solid = cone_dim(sigma) == n
     cells = []
-    for selection, cs, gens in _normal_cones([p.numerators for p in coeffs], sigma):
-        if matrix_rank(gens) != n:
-            continue
+    for selection, gens, normals in _normal_cones([p.numerators for p in coeffs], sigma):
         if solid:
-            rays = _extreme_rays(gens, [*sigma.generators, *cs], n)
+            rays = _extreme_rays(gens, normals, n)
         else:
             rays = minimal_generators(Cone(n, gens))
         cells.append(QuasiCell(Cone(n, rays), selection))

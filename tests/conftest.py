@@ -1,3 +1,5 @@
+import signal
+from contextlib import contextmanager
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -7,6 +9,22 @@ from polysing.pdiv import P1, Point, polyhedral_divisor
 from polysing.polyhedra import make_cone, sigma_polyhedron
 
 DATA = Path(__file__).parent / "data"
+
+
+@contextmanager
+def capped(seconds):
+    """Raise TimeoutError inside the block once it has run `seconds` of wall time."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,12 @@
 import gc
 import json
-import signal
 import subprocess
 import sys
 import weakref
 from fractions import Fraction as F
 
 import pytest
+from conftest import capped
 
 from polysing import ufdgen
 from polysing.cli import (
@@ -417,17 +417,8 @@ RANK4_ORTHANT = {
 
 def test_rank4_orthant_analysis_finishes():
     """Every criterion of a rank-4 divisor runs to a verdict within 10 s."""
-
-    def expire(signum, frame):
-        raise TimeoutError("rank-4 analysis ran past 10 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, 10)
-    try:
+    with capped(10):
         report = analyze(parse_document(RANK4_ORTHANT)["data"])
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
     res = result_map(report)
     assert res["proper"]["status"] == "proper"
     for criterion in ("proper", "rational", "isolated"):
@@ -444,17 +435,8 @@ def test_high_rank_construct_finishes(tmp_path, capsys, multiplicities):
     3 s: properness and the extremal rays need no degree polyhedron."""
     path = tmp_path / "admissible.json"
     path.write_text(json.dumps({"format": 1, "entries": [{"mu": m} for m in multiplicities]}))
-
-    def expire(signum, frame):
-        raise TimeoutError("construct ran past 3 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, 3)
-    try:
+    with capped(3):
         code = main(["construct", str(path), "--report", "json"])
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
     assert code == 0
     assert abs(json.loads(capsys.readouterr().out)["determinant"]) == 1
 
@@ -475,17 +457,8 @@ TWO_DIM_TAIL = {
 def test_two_dimensional_tail_smoothness_finishes():
     """The regularity test of a five-generator bicone in Z^4 needs no double
     description; the whole analysis finishes within 10 s."""
-
-    def expire(signum, frame):
-        raise TimeoutError("rank-3 analysis ran past 10 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, 10)
-    try:
+    with capped(10):
         report = analyze(parse_document(TWO_DIM_TAIL)["data"])
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
     smooth = result_map(report)["smooth"]
     assert smooth["status"] == "no"
     assert smooth["reason"] == "bicone is not regular"

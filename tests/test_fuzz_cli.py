@@ -3,9 +3,9 @@ exit 0, 2 or 3 and never end in an exception or run past its time cap."""
 import contextlib
 import io
 import json
-import signal
 
 import pytest
+from conftest import capped
 
 from polysing.cli import main
 
@@ -129,17 +129,8 @@ MIRRORED_TAIL = {
 
 
 def _run(argv) -> int:
-    def expire(signum, frame):
-        raise TimeoutError(f"{' '.join(argv)} ran past {CAP_S} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, CAP_S)
-    try:
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            return main(argv)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
+    with capped(CAP_S), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
 
 
 @pytest.fixture(scope="module")

@@ -15,11 +15,11 @@ denominator.
 """
 import math
 import random
-import signal
 from fractions import Fraction as F
 from itertools import combinations_with_replacement, product
 
 import pytest
+from conftest import capped
 
 from polysing.errors import DegenerateInput, NotProperError, UnboundedBelow, UnsupportedBase
 from polysing.pdiv import (
@@ -138,17 +138,8 @@ def test_many_rows_at_rank_four_finish():
     rng = random.Random(5)
     rows = [tuple(rng.randint(-5, 5) for _ in range(4)) for _ in range(28)]
     rhs = [-rng.randint(5, 20) for _ in rows]
-
-    def expire(signum, frame):
-        raise TimeoutError("28-row lattice enumeration ran past 5 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, 5)
-    try:
+    with capped(5):
         points = list(lattice_points(rows, rhs, 4))
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
     assert (0, 0, 0, 0) in points
     assert points == sorted(set(points))
     assert all(dot(r, x) >= b for x in points for r, b in zip(rows, rhs))

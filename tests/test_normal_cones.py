@@ -1,7 +1,8 @@
 """The normal-cone routines, and the properness and extremal-ray decisions
 that work from support values alone, against an exact convex-hull oracle
 written here.  For divisors on P^1 the reference degree polyhedron is the
-Minkowski fold `deg_polyhedron`.
+Minkowski fold `deg_polyhedron`.  The refinement `_normal_cones` is checked
+against one sweep per joint vertex selection over the whole product.
 
 The oracle decides target in conv(points) + cone(rays) by Caratheodory's
 theorem: (1, target) is then a nonnegative combination of linearly
@@ -11,10 +12,12 @@ oracle here: on these small systems it returns points that violate the
 equality constraints it was given.
 """
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
+from conftest import capped
 
+from polysing.cli import analyze, parse_document
 from polysing.pdiv import (
     P1,
     Point,
@@ -24,7 +27,9 @@ from polysing.pdiv import (
     polyhedral_divisor,
 )
 from polysing.polyhedra import (
+    Cone,
     _dd_halfspaces,
+    _normal_cones,
     halfspaces,
     make_cone,
     minimal_generators,
@@ -32,6 +37,7 @@ from polysing.polyhedra import (
     sigma_polyhedron,
     support_value,
 )
+from polysing.ratlin import matrix_rank, vec_sub
 
 pytest.importorskip("hypothesis")
 
@@ -245,9 +251,10 @@ def test_is_proper_matches_hull_for_one_coefficient(into_tail, case, data):
 @GEOMETRY
 @given(st.data())
 def test_resumed_sweep_matches_full_sweep(data):
-    """`_normal_cones` resumes every sweep after the tail constraints; that
-    state must be exactly the one the full sweep reaches.  Tails need not be
-    pointed or full-dimensional, and the rest repeats tail rays and zeros."""
+    """`_normal_cones` resumes every sweep after the tail constraints; the
+    resumed state, rays and constraints done, must be exactly the one the
+    full sweep reaches.  Tails need not be pointed or full-dimensional, and
+    the rest repeats tail rays and zeros."""
     n = data.draw(st.integers(1, 3))
     vec = st.tuples(*[st.integers(-2, 3)] * n)
     tail = make_cone(data.draw(st.lists(vec, max_size=n + 2)), n)
@@ -256,3 +263,70 @@ def test_resumed_sweep_matches_full_sweep(data):
     rest = data.draw(st.permutations(rest))
     full = _dd_halfspaces(list(tail.generators) + rest, n)
     assert _dd_halfspaces(rest, n, (halfspaces(tail), tail.generators)) == full
+
+
+def _product_normal_cones(row_sets, tail):
+    """The reference for `_normal_cones`: one sweep per joint selection of
+    the whole product, resumed from the dual of the tail, keeping the
+    selections whose normal cone is full-dimensional."""
+    n = tail.ambient_rank
+    start = (halfspaces(tail), tail.generators)
+    cones = []
+    for selection in product(*row_sets):
+        cuts = [vec_sub(w, r) for rows, r in zip(row_sets, selection) for w in rows if w != r]
+        rays, normals = _dd_halfspaces(cuts, n, start)
+        if matrix_rank(rays) == n:
+            cones.append((selection, rays, normals))
+    return cones
+
+
+@GEOMETRY
+@given(st.data())
+def test_refinement_keeps_the_full_dimensional_selections_of_the_product(data):
+    """Tails are pointed (full-dimensional or not), arbitrary (so possibly
+    not pointed, and then no cell survives) or, at rank 1 and 2, empty; each
+    of up to four sets holds one to three distinct rows."""
+    n = data.draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(-2, 3)] * n)
+    kind = data.draw(st.sampled_from(["pointed", "arbitrary", "empty"][: 3 if n <= 2 else 2]))
+    if kind == "empty":
+        tail = Cone(n, ())
+    else:
+        gens = vec.filter(lambda g: sum(g) > 0) if kind == "pointed" else vec.filter(any)
+        tail = make_cone(data.draw(st.lists(gens, min_size=1, max_size=n + 1)))
+    row_sets = data.draw(st.lists(st.lists(vec, min_size=1, max_size=3, unique=True), min_size=1, max_size=4))
+    assert _normal_cones(row_sets, tail) == _product_normal_cones(row_sets, tail)
+
+
+def _chain_document(points, rank):
+    """A divisor on P^1 over the orthant whose i-th support point has the
+    three vertices (0, 3 + a), (1, 1), (2 + b, 0), for a = i mod 3 and
+    b = i div 3, lifted at rank 3 to (0, 3 + a, 0), (1, 1, 1), (2 + b, 0, 1)."""
+    coefficients = []
+    for i in range(points):
+        a, b = i % 3, i // 3
+        verts = [(0, 3 + a), (1, 1), (2 + b, 0)] if rank == 2 else [(0, 3 + a, 0), (1, 1, 1), (2 + b, 0, 1)]
+        coefficients.append({"point": str(i), "vertices": [[str(x) for x in v] for v in verts]})
+    rays = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    return {"format": 1, "lattice_rank": rank, "tail_rays": rays, "coefficients": coefficients}
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("points", [12, 14])
+def test_analysis_with_many_support_points_finishes(points, rank):
+    """3^points joint vertex selections and few full-dimensional cells: the
+    refinement visits only cells that stay full-dimensional, so the whole
+    analysis finishes within 1 s."""
+    d = parse_document(_chain_document(points, rank))["data"]
+    assert all(len(p.numerators) == 3 for _, p in d.coeffs)
+    with capped(1):
+        report = analyze(d)
+    results = {e["criterion"]: e for e in report["results"]}
+    assert results["proper"]["status"] == "proper"
+    assert results["rational"]["status"] == "yes"
+
+
+def test_a_tail_with_a_line_has_no_cell():
+    """Its dual is not full-dimensional, even where no set cuts it."""
+    line = make_cone([(1, 0), (-1, 0)])
+    assert _normal_cones([[(1, 2)]], line) == _product_normal_cones([[(1, 2)]], line) == []

@@ -1,9 +1,9 @@
 import math
 import random
-import signal
 from fractions import Fraction as F
 
 import pytest
+from conftest import capped
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -283,14 +283,6 @@ RANK4_SUMS = [
     reason="CHANGES.md FOUND: sigma_polyhedron with an empty rank-4 tail compounds in _dd_halfspaces",
 )
 def test_rank4_polytope_with_empty_tail_finishes():
-    def expire(signum, frame):
-        raise TimeoutError("rank-4 polytope ran past 2 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, 2)
-    try:
+    with capped(2):
         p = sigma_polyhedron(RANK4_SUMS, Cone(4, ()))
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
     assert set(p.vertices) <= {tuple(map(F, v)) for v in RANK4_SUMS}
