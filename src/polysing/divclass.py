@@ -132,9 +132,8 @@ def class_group(d: PolyhedralDivisor) -> ClassGroup:
     """
     data, rows = _class_system(d)
     sf = _class_smith(d)
-    diag = [x for x in sf.diagonal if x != 0]
-    torsion = tuple(x for x in diag if x > 1)
-    free = len(rows) - len(diag)
+    torsion = tuple(x for x in sf.diagonal if x > 1)
+    free = len(rows) - sf.rank
     q_fact = free == 0
     if cone_dim(d.tail) == data.n:
         # relation rows are independent for a full-dimensional tail, so the

@@ -61,10 +61,7 @@ def make_cone(vectors: Iterable[Sequence], ambient_rank: int | None = None) -> C
     for v in vecs:
         if len(v) != ambient_rank:
             raise ValueError("generator dimension mismatch")
-        if any(Fraction(x).denominator != 1 for x in v):
-            p = scale_to_int([Fraction(x) for x in v])
-        else:
-            p = primitive([int(x) for x in v])
+        p = scale_to_int([Fraction(x) for x in v])
         if any(p):
             gens.add(p)
     return Cone(ambient_rank, tuple(sorted(gens)))

@@ -15,7 +15,6 @@ from .errors import DegenerateInput, ShapeError
 
 Rat = Fraction
 
-Vector = tuple
 Matrix = Sequence[Sequence]
 
 
@@ -59,29 +58,16 @@ def ext_gcd(a: int, b: int) -> tuple[int, int, int]:
 def ext_gcd_multi(values: Sequence[int]) -> tuple[int, list[int]]:
     """gcd of a nonempty integer list together with a Bezout certificate.
 
-    Folds a two-term extended gcd over the list left to right; the right-hand
-    coefficient of each step is normalized as in :func:`ext_gcd`, so equal
-    inputs always give byte-identical output.
+    Folds :func:`ext_gcd` left to right from gcd 0 and no coefficients: each
+    step scales the certificate by the left-hand coefficient and appends the
+    normalized right-hand one, so equal inputs give byte-identical output.
     """
     if not values:
         raise DegenerateInput("ext_gcd_multi needs a nonempty list")
-    g = abs(values[0])
-    coeffs = [1 if values[0] >= 0 else -1]
-    if values[0] == 0:
-        coeffs = [1]
-    for v in values[1:]:
-        if g == 0:
-            if v == 0:
-                coeffs.append(0)
-                continue
-            coeffs = [0] * len(coeffs)
-            coeffs.append(1 if v > 0 else -1)
-            g = abs(v)
-            continue
-        g_new, x, y = ext_gcd(g, v)
-        coeffs = [c * x for c in coeffs]
-        coeffs.append(y)
-        g = g_new
+    g, coeffs = 0, []
+    for v in values:
+        g, x, y = ext_gcd(g, v)
+        coeffs = [c * x for c in coeffs] + [y]
     if g == 0:
         raise DegenerateInput("all-zero input to ext_gcd_multi")
     return g, coeffs
@@ -102,9 +88,10 @@ def mu(v: Sequence) -> int:
 
 
 def scale_to_int(v: Sequence[Fraction]) -> tuple[int, ...]:
-    """Clear denominators and make the result primitive."""
+    """Clear the denominators of int or Fraction entries, on their numerators,
+    and make the result primitive."""
     den = mu(v)
-    return primitive([int(Fraction(x) * den) for x in v])
+    return primitive([x.numerator * (den // x.denominator) for x in v])
 
 
 def dot(u: Sequence, v: Sequence):
@@ -131,14 +118,24 @@ class SmithForm:
     right: tuple[tuple[int, ...], ...]
     right_inverse: tuple[tuple[int, ...], ...]
 
+    @property
+    def rank(self) -> int:
+        """The rank of A: its nonzero invariant factors, which come first."""
+        return sum(1 for x in self.diagonal if x != 0)
+
 
 def _identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def smith_normal_form(a: Matrix) -> SmithForm:
-    """Smith normal form by gcd pivoting, tracking both unimodular transforms
-    and the inverse of the right one."""
+    """Smith normal form by one gcd pivot loop (Cohen 1993, Alg. 2.4.14),
+    tracking both unimodular transforms and the inverse of the right one.
+
+    The least nonzero entry, first in row-major order, clears its column and
+    row by division with remainder; then a later row with an entry it does not
+    divide is added to its row, which leaves a smaller remainder to pivot on.
+    """
     m, n = _dims(a)
     d = [[int(x) for x in row] for row in a]
     u = _identity(m)
@@ -156,86 +153,41 @@ def smith_normal_form(a: Matrix) -> SmithForm:
             row[i] -= q * row[j]
         vi[j] = [x + q * y for x, y in zip(vi[j], vi[i])]
 
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-        vi[i], vi[j] = vi[j], vi[i]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-
-    size = min(m, n)
-    for k in range(size):
-        # move a nonzero entry of minimal magnitude to the pivot
-        while True:
-            best = None
-            for i in range(k, m):
-                for j in range(k, n):
-                    if d[i][j] != 0 and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
-                        best = (i, j)
-            if best is None:
-                break
-            i, j = best
-            if i != k:
-                swap_rows(k, i)
-            if j != k:
-                swap_cols(k, j)
-            dirty = False
-            for i in range(k + 1, m):
-                if d[i][k] != 0:
-                    row_op(i, k, d[i][k] // d[k][k])
-                    dirty = dirty or d[i][k] != 0
-            for j in range(k + 1, n):
-                if d[k][j] != 0:
-                    col_op(j, k, d[k][j] // d[k][k])
-                    dirty = dirty or d[k][j] != 0
-            if not dirty and all(d[i][k] == 0 for i in range(k + 1, m)) and all(
-                d[k][j] == 0 for j in range(k + 1, n)
-            ):
-                break
-        if d[k][k] < 0:
-            negate_row(k)
-
-    # enforce the divisibility chain d_k | d_{k+1}
-    changed = True
-    while changed:
-        changed = False
-        for k in range(size - 1):
-            violates = (
-                d[k + 1][k + 1] != 0
-                if d[k][k] == 0
-                else d[k + 1][k + 1] % d[k][k] != 0
-            )
-            if violates:
-                # fold the offending entry back into the pivot column and re-reduce
-                col_op(k, k + 1, -1)  # col_k += col_{k+1}
-                a2 = d[k][k]
-                b2 = d[k + 1][k]
-                g, x, y = ext_gcd(a2, b2)
-                # rows (k, k+1) <- (x*row_k + y*row_{k+1}, ...) keeping det +-1
-                rk = [x * p + y * q for p, q in zip(d[k], d[k + 1])]
-                uk = [x * p + y * q for p, q in zip(u[k], u[k + 1])]
-                s, t = (b2 // g, -(a2 // g)) if g else (0, 1)
-                rk1 = [s * p + t * q for p, q in zip(d[k], d[k + 1])]
-                uk1 = [s * p + t * q for p, q in zip(u[k], u[k + 1])]
-                d[k], d[k + 1] = rk, rk1
-                u[k], u[k + 1] = uk, uk1
-                for j in range(k + 1, n):
-                    if d[k][j] != 0:
-                        col_op(j, k, d[k][j] // d[k][k])
-                if d[k][k] < 0:
-                    negate_row(k)
-                if d[k + 1][k + 1] < 0:
-                    negate_row(k + 1)
-                changed = True
-    diag = tuple(d[k][k] for k in range(size))
+    k = 0
+    while k < min(m, n):
+        best = None
+        for i in range(k, m):
+            for j in range(k, n):
+                x = abs(d[i][j])
+                if x and (best is None or x < best[0]):
+                    best = (x, i, j)
+        if best is None:
+            break
+        _, i, j = best
+        d[k], d[i] = d[i], d[k]
+        u[k], u[i] = u[i], u[k]
+        if j != k:
+            for row in (*d, *v):
+                row[k], row[j] = row[j], row[k]
+            vi[k], vi[j] = vi[j], vi[k]
+        p = d[k][k]
+        for i in range(k + 1, m):
+            if d[i][k] != 0:
+                row_op(i, k, d[i][k] // p)
+        for j in range(k + 1, n):
+            if d[k][j] != 0:
+                col_op(j, k, d[k][j] // p)
+        if any(d[i][k] for i in range(k + 1, m)) or any(d[k][k + 1 :]):
+            continue  # a nonzero remainder is the next pivot
+        if abs(p) > 1:  # a unit pivot divides every later entry
+            fold = next((i for i in range(k + 1, m) if any(x % p for x in d[i][k + 1 :])), None)
+            if fold is not None:
+                row_op(k, fold, -1)  # row_k += row_fold
+                continue
+        if p < 0:
+            row_op(k, k, 2)  # row_k = -row_k
+        k += 1
+    diag = tuple(d[k][k] for k in range(min(m, n)))
     return SmithForm(diag, *(tuple(tuple(r) for r in t) for t in (u, v, vi)))
 
 
@@ -307,7 +259,7 @@ def smith_solve(sf: SmithForm, b: Sequence) -> Solution:
     b_den = mu(b)
     b_num = [x.numerator * (b_den // x.denominator) for x in b]
     ub = [dot(row, b_num) for row in sf.left]
-    r = sum(1 for x in sf.diagonal if x != 0)
+    r = sf.rank
     for i in range(r, len(ub)):
         if ub[i] != 0:
             return Inconsistent(tuple(Fraction(x) for x in sf.left[i]))
@@ -363,16 +315,29 @@ def matrix_rank(a: Matrix) -> int:
     return rank
 
 
-def saturated_basis(rows: Sequence[Sequence[int]], ambient: int) -> list[tuple[int, ...]]:
-    """Basis of the saturation of the row lattice, i.e. of (span rows) cap Z^ambient.
+def _adapted_basis(
+    rows: Sequence[Sequence[int]], n: int
+) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], int]:
+    """Basis of Z^n whose first k members span the saturation of the row
+    lattice, its inverse, and k, all read off one Smith form.
 
-    Comes from the Smith decomposition: with U A V = D the first rank rows of
-    V^-1 span the saturation.
+    With U A V = D for the rows A, A = U^-1 D V^-1 makes every row a
+    combination of the first k = rank rows of V^-1; those rows span a direct
+    summand of Z^n that contains A with finite index, i.e. the saturation.
+    The rows of V^-1 are the basis, and V is its inverse.
     """
     if not rows:
-        return []
+        ident = [tuple(r) for r in _identity(n)]
+        return ident, ident, 0
     sf = smith_normal_form(rows)
-    return list(sf.right_inverse[: sum(1 for x in sf.diagonal if x != 0)])
+    return list(sf.right_inverse), list(sf.right), sf.rank
+
+
+def saturated_basis(rows: Sequence[Sequence[int]], ambient: int) -> list[tuple[int, ...]]:
+    """Basis of the saturation of the row lattice, i.e. of (span rows) cap Z^ambient:
+    the first rank members of the adapted basis."""
+    basis, _, k = _adapted_basis(rows, ambient)
+    return basis[:k]
 
 
 def invert_unimodular(v: Sequence[Sequence[int]]) -> list[list[int]]:

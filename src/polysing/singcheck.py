@@ -47,7 +47,7 @@ from .polyhedra import (
     minimal_generators,
     tail_polyhedron,
 )
-from .ratlin import dot, matrix_rank, smith_normal_form, vec_add, vec_sub
+from .ratlin import _adapted_basis, dot, matrix_rank, vec_add, vec_sub
 
 DEFAULT_BUDGET = 10**6
 
@@ -200,24 +200,6 @@ def check_isolated(d: PolyhedralDivisor) -> Verdict:
                 if not is_regular(_cayley_cone([(1, [(0,) * n], (1,))], tau)):
                     return Verdict("no", witness=list(u), reason="singular generic chart on this facet")
     return Verdict("yes")
-
-
-def _adapted_basis(
-    f_gens: Sequence[tuple[int, ...]], n: int
-) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], int]:
-    """Lattice basis whose first k members span the saturation of f_gens, its
-    inverse, and k, all read off one Smith form.
-
-    With U A V = D for the rows A = f_gens, A = U^-1 D V^-1 makes every row a
-    combination of the first k = rank rows of V^-1; those rows span a direct
-    summand of Z^n that contains A with finite index, i.e. the saturation.
-    The rows of V^-1 are the basis, and V is its inverse.
-    """
-    if not f_gens:
-        ident = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-        return ident, ident, 0
-    sf = smith_normal_form(f_gens)
-    return list(sf.right_inverse), list(sf.right), sum(1 for x in sf.diagonal if x != 0)
 
 
 @_memoized

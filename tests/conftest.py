@@ -10,6 +10,16 @@ from polysing.polyhedra import make_cone, sigma_polyhedron
 
 DATA = Path(__file__).parent / "data"
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # every property test replays the same examples and keeps no example
+    # database; each settings site adds only its example count
+    settings.register_profile("tier1", deadline=None, derandomize=True, database=None)
+    settings.load_profile("tier1")
+
 
 @contextmanager
 def capped(seconds):

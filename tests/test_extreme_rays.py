@@ -73,7 +73,7 @@ def cone_cases(draw):
     return kind, make_cone(vecs, n)
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@settings(max_examples=120)
 @given(cone_cases())
 def test_minimal_generators_match_the_greedy_definition(case):
     kind, c = case

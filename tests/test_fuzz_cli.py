@@ -15,11 +15,7 @@ from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 FUZZ = settings(
-    max_examples=60,
-    deadline=None,
-    derandomize=True,
-    database=None,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    max_examples=60, suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large]
 )
 CAP_S = 5
 COMMANDS = (

@@ -68,7 +68,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-KERNEL = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+KERNEL = settings(max_examples=100)
 
 fracs = st.fractions(min_value=-6, max_value=6, max_denominator=4)
 
@@ -268,7 +268,7 @@ def _candidate_sets(draw):
     return tail, draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=4))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(_candidate_sets(), st.randoms(use_true_random=False))
 def test_sigma_polyhedron_is_canonical(case, rng):
     """Least den, round trip through `vertices`, one hash per polyhedron
@@ -348,7 +348,7 @@ def _side_a_by_higher_direct_dims(d, weight, d_max):
     return side_a
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(st.sampled_from(_graded_data()), st.data())
 def test_hilbert_side_a_matches_higher_direct_dims(mus, data):
     datum = admissible_data(list(zip(default_points(3), mus)))

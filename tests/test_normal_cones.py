@@ -44,7 +44,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-GEOMETRY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+GEOMETRY = settings(max_examples=60)
 
 small_fracs = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 

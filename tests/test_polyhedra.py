@@ -167,7 +167,7 @@ def _cayley_parts(draw):
     return [(SigmaPolyhedron(den, rs, tail), m) for den, rs, m in zip(dens, rows, markers)]
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(_cayley_parts())
 def test_cayley_cone_matches_the_fraction_construction(parts):
     assert cayley_cone(parts) == _cayley_by_fractions(parts)

@@ -406,7 +406,6 @@ def test_adapted_basis_takes_one_smith_form(monkeypatch):
         return original(a)
 
     monkeypatch.setattr(rl, "smith_normal_form", spy)
-    monkeypatch.setattr(sc, "smith_normal_form", spy)
     rng = random.Random(13)
     checked = 0
     while checked < 100:
@@ -461,9 +460,39 @@ def _degree_zero_face_family(count):
         yield polyhedral_divisor(P1, sigma, coeffs)
 
 
-def test_rational_scan_on_degree_zero_faces(monkeypatch):
-    """Every verdict through cells that meet the degree-zero face (k > 0)
-    agrees with floor degrees evaluated directly."""
+def _degree_zero_face_family_rank3(count):
+    """Rank-3 analogues over three tails: 2-4 of the vertices (c,0,0), (c,t,0),
+    (c,0,t), (c,t,s) at 0 and a single vertex (-x,0,0) at 2-3 other points.
+    With (c,0,0) a vertex the degree vanishes on a two-dimensional face, and
+    the scan folds along a rank-2 saturation (k = 2)."""
+    rng = random.Random(27)
+    tails = [
+        make_cone(gens, 3)
+        for gens in (
+            [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
+            [(1, 0, 0), (1, 4, 0), (1, 0, 5)],
+            [(1, 0, 0), (2, 3, 0), (1, 1, 4)],
+        )
+    ]
+    for _ in range(count):
+        sigma = rng.choice(tails)
+        others = [Point.infinity(), Point.coord(1), Point.coord(2)][: rng.randint(2, 3)]
+        a = []
+        for _ in others:
+            q = rng.randint(2, 6)
+            a.append(F(rng.randint(1, q - 1), q))
+        c = sum(a) + F(rng.randint(1, 6), 6)
+        t, s = rng.randint(1, 3), rng.randint(1, 3)
+        verts = rng.sample([(c, 0, 0), (c, t, 0), (c, 0, t), (c, t, s)], rng.randint(2, 4))
+        coeffs = {Point.coord(0): sigma_polyhedron(verts, sigma)}
+        coeffs.update((p, sigma_polyhedron([(-x, 0, 0)], sigma)) for p, x in zip(others, a))
+        yield polyhedral_divisor(P1, sigma, coeffs)
+
+
+def _scan_degree_zero_family(family, budget, window):
+    """check_rational over the proper members of family: each witness is the
+    floor degree evaluated directly, a `no` is below -1, and a `yes` holds on
+    window.  Returns the verdict counts and the k of every adapted basis."""
     import polysing.singcheck as sc
 
     ks = []
@@ -474,13 +503,12 @@ def test_rational_scan_on_degree_zero_faces(monkeypatch):
         ks.append(out[2])
         return out
 
-    monkeypatch.setattr(sc, "_adapted_basis", spy)
-    window = [(u1, u2) for u1 in range(13) for u2 in range(-12, 13) if u1 + 6 * u2 >= 0]
     verdicts = {"yes": 0, "no": 0}
-    for d in _degree_zero_face_family(300):
+    for d in family:
         if not is_proper(d):
             continue
-        v = check_rational(d)
+        with patch.object(sc, "_adapted_basis", spy):
+            v = check_rational(d, budget=budget)
         assert v.status in verdicts
         verdicts[v.status] += 1
         if v.witness is not None:
@@ -490,8 +518,22 @@ def test_rational_scan_on_degree_zero_faces(monkeypatch):
             assert val < -1
         else:
             assert all(floor_degree(evaluate(d, u))[1] >= -1 for u in window)
+    return verdicts, ks
+
+
+def test_rational_scan_on_degree_zero_faces():
+    """Every verdict through cells that meet the degree-zero face (k > 0)
+    agrees with floor degrees evaluated directly.  At rank 3 the face can be
+    two-dimensional (k = 2): there the Smith transforms, not only the
+    diagonal, fix which representatives the scan visits first."""
+    window = [(u1, u2) for u1 in range(13) for u2 in range(-12, 13) if u1 + 6 * u2 >= 0]
+    family = _degree_zero_face_family(300)
+    verdicts, ks = _scan_degree_zero_family(family, DEFAULT_BUDGET, window)
     assert verdicts["yes"] > 50 and verdicts["no"] > 50
     assert any(k > 0 for k in ks)
+    family = _degree_zero_face_family_rank3(30)
+    _, ks = _scan_degree_zero_family(family, 10**4, [])
+    assert 2 in ks
 
 
 def _reference_cell_faces(c):
@@ -525,7 +567,7 @@ def _cells_with_normals(draw):
     return c, hs + tuple(extra)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(_cells_with_normals())
 def test_cell_faces_keep_the_reference_order(case):
     """The bitmask walk yields the same faces in the same set order as the
